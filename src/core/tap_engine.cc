@@ -23,6 +23,53 @@ inline int64_t NowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+// The pass-2 grant step of one enabled tap: the whole want, or a
+// proportional share of the source when its group's running demand exceeds
+// what the source holds; the sub-unit remainder is kept as carry and the
+// move clamped to the source level. Returns the quantity debited from
+// `src_level` (0: nothing moves).
+inline Quantity Grant(double want, double& demand, Quantity& src_level, double& carry) {
+  const Quantity level = src_level;
+  const double avail = level > 0 ? static_cast<double>(level) : 0.0;
+  const double scale = (demand > avail && demand > 0.0) ? avail / demand : 1.0;
+  const double granted = want * scale;
+  demand -= want;
+  const auto whole = static_cast<Quantity>(granted);
+  // The carry keeps only the sub-unit part of the granted flow; demand the
+  // source could not cover is dropped, not banked.
+  carry = granted - static_cast<double>(whole);
+  if (whole <= 0) {
+    return 0;
+  }
+  const Quantity moved = level < whole ? level : whole;
+  if (moved <= 0) {
+    return 0;
+  }
+  src_level = level - moved;
+  return moved;
+}
+
+// Deposits `m` into bank slot `d` — Reserve::Deposit on the bank arrays,
+// listener hook included: returns true when the deposit flipped a
+// decay-wired reserve from empty to non-empty while it was off its decay
+// list. The flag is then set, and the caller appends `d` to the list that
+// owns it.
+inline bool DepositRelists(Quantity* lvl, Quantity* dep, uint8_t* rflags, uint32_t d,
+                           Quantity m) {
+  const Quantity dst_level = lvl[d];
+  lvl[d] = dst_level + m;
+  dep[d] += m;
+  if (dst_level <= 0 && lvl[d] > 0) {
+    const uint8_t df = rflags[d];
+    if ((df & ReserveStateBank::kDecayWired) != 0 &&
+        (df & ReserveStateBank::kInDecayList) == 0) {
+      rflags[d] = df | ReserveStateBank::kInDecayList;
+      return true;
+    }
+  }
+  return false;
+}
 }  // namespace
 
 TapEngine::TapEngine(Kernel* kernel, ObjectId battery_reserve)
@@ -361,6 +408,7 @@ void TapEngine::RebuildPlan() {
 
   BuildCutPlan();
   BuildSplitPlan();
+  BuildTicketTables();
 
   if (telem_ != nullptr && telem_->enabled()) {
     EmitPlanRecords();
@@ -385,8 +433,6 @@ void TapEngine::BuildSplitPlan() {
   const auto n = static_cast<uint32_t>(plan_src_.size());
   split_of_shard_.assign(num_shards_, kNoSplit);
   split_shards_.clear();
-  tickets_pass1_.clear();
-  tickets_pass2_.clear();
   split_k_ = split_.ranges;
   const bool enabled = sharding_ && split_.min_entries > 0 && split_.ranges >= 2;
   if (enabled) {
@@ -416,13 +462,8 @@ void TapEngine::BuildSplitPlan() {
   const auto nu = static_cast<uint32_t>(split_shards_.size());
   if (nu == 0) {
     // Nothing splits this epoch: none of the range machinery below is
-    // allocated or touched. With live cuts the two-phase pipeline still
-    // needs its ticket tables (cut members run kCutPass1/kCutPass2);
-    // otherwise RunBatch keeps the plain per-shard dispatch.
+    // allocated or touched.
     lanes_.Clear();
-    if (!cuts_.empty()) {
-      BuildTicketTables();
-    }
     return;
   }
 
@@ -525,8 +566,6 @@ void TapEngine::BuildSplitPlan() {
   range_group_begin_[static_cast<size_t>(nu) * k] =
       static_cast<uint32_t>(range_group_ids_.size());
   lanes_.Reset(next_lane);
-
-  BuildTicketTables();
 }
 
 void TapEngine::BuildTicketTables() {
@@ -535,6 +574,8 @@ void TapEngine::BuildTicketTables() {
   // whole-shard ticket otherwise — in the largest-first shard order; pass 2
   // is the split shards' ranges plus the cut members' kCutPass2 tickets.
   // Empty tail ranges (entries < k) get no tickets.
+  tickets_pass1_.clear();
+  tickets_pass2_.clear();
   const uint32_t k = split_k_;
   for (const uint32_t s : shard_order_) {
     const uint32_t u = split_of_shard_[s];
@@ -791,9 +832,12 @@ void TapEngine::EmitPlanRecords() {
   }
 }
 
-void TapEngine::EmitSinkDeposit(const Reserve* sink, Quantity amount) {
-  telem_->Emit(RecordKind::kReserveDeposit, static_cast<uint32_t>(sink->id()), 0,
-               kReserveOpDecayLeak, amount, sink->level());
+void TapEngine::DepositToSink(Reserve* sink, Quantity amount) {
+  sink->Deposit(amount);
+  if (telem_reserve_ops_) {
+    telem_->Emit(RecordKind::kReserveDeposit, static_cast<uint32_t>(sink->id()), 0,
+                 kReserveOpDecayLeak, amount, sink->level());
+  }
 }
 
 void TapEngine::RunBatch(Duration dt) {
@@ -803,23 +847,9 @@ void TapEngine::RunBatch(Duration dt) {
   if (!PlanIsCurrent()) {
     RebuildPlan();
   }
-  // The batch loops write reserve levels through the state-bank arrays, not
-  // through Reserve's named mutators, so the scheduler's run plan would not
-  // see the movement. Compare the flow totals on exit: a batch that moved
-  // tap or decay flow is an out-of-band level mutation and bumps the kernel
-  // reserve-op epoch; an all-idle batch leaves plans alive across the
-  // boundary. (Sink leak deposits go through Reserve::Deposit and bump on
-  // their own.)
-  const Quantity tap_flow_before = total_tap_flow_;
-  const Quantity decay_flow_before = total_decay_flow_;
-  const auto note_if_flow_moved = [&] {
-    if (total_tap_flow_ != tap_flow_before || total_decay_flow_ != decay_flow_before) {
-      kernel_->NoteReserveOp();
-    }
-  };
-  // Publish the batch-wide constants, then run every shard — concurrently on
-  // the executor when one is attached, serially in plan order otherwise.
-  // Shards touch disjoint reserves/taps, so scheduling cannot change results.
+  // Publish the batch-wide constants, then run the tickets — concurrently on
+  // the executor when one is attached, serially in ticket order otherwise.
+  // Tickets touch disjoint reserves/taps, so scheduling cannot change results.
   batch_dt_s_ = dt.seconds_f();
   // Leak fraction for this interval: 1 - 2^(-dt / half_life). The exp2 is
   // only worth paying when decay will actually run.
@@ -839,61 +869,6 @@ void TapEngine::RunBatch(Duration dt) {
   telem_decay_records_ = (tmask & RecordBit(RecordKind::kReserveDecay)) != 0;
   telem_reserve_ops_ = (tmask & RecordBit(RecordKind::kReserveDeposit)) != 0;
   telem_boundary_ = (tmask & RecordBit(RecordKind::kBoundarySettle)) != 0;
-  // Single-shard fast path: with one shard and no split there is nothing to
-  // dispatch or merge — run the passes inline and apply totals and the sink
-  // deposit directly, skipping the busy scan, the scratch write, and the
-  // merge loop. Exactly the work the general path does for one shard, minus
-  // its fixed cost (the BM_TapBatchWithDecay/8 tail in docs/PERFORMANCE.md).
-  if (num_shards_ == 1 && split_shards_.empty()) {
-    const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
-    const Quantity flow = RunShardTaps(0);
-    total_tap_flow_ += flow;
-    stats_[0].tap_flow += flow;
-    Quantity decay_flow = 0;
-    if (decay_.enabled) {
-      const DecayResult dr = DecayShard(0);
-      decay_flow = dr.flow;
-      total_decay_flow_ += dr.flow;
-      stats_[0].decay_flow += dr.flow;
-      Reserve* battery = battery_cache_;
-      if (dr.leak > 0) {
-        Reserve* sink = decay_to_root_ ? shard_sink_[0] : battery;
-        if (sink == nullptr) {
-          sink = battery;
-        }
-        if (sink != nullptr) {
-          sink->Deposit(dr.leak);
-          if (telem_reserve_ops_) {
-            EmitSinkDeposit(sink, dr.leak);
-          }
-        }
-      }
-      if (dr.stray > 0 && battery != nullptr) {
-        battery->Deposit(dr.stray);
-        if (telem_reserve_ops_) {
-          EmitSinkDeposit(battery, dr.stray);
-        }
-      }
-    }
-    if (telem_shard_batch_ || telem_shard_timing_) {
-      if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
-        const int64_t now = telem_->time_us();
-        if (telem_shard_batch_) {
-          ring->Emit(now, RecordKind::kShardBatch, 0, 0, 0, flow, decay_flow);
-        }
-        if (telem_shard_timing_) {
-          ring->Emit(now, RecordKind::kShardTiming, 0,
-                     static_cast<uint16_t>(ShardExecutor::current_worker_slot()), 0,
-                     NowNs() - t0, 0);
-        }
-      }
-    }
-    if (telem_on_) {
-      telem_->FlushFrame();
-    }
-    note_if_flow_moved();
-    return;
-  }
   // Degenerate-dispatch fast path: waking the pool costs two notify/wait
   // handshakes per phase, pure loss unless at least two busy work items can
   // overlap. Count runnable items (a shard with plan entries or a non-empty
@@ -912,36 +887,22 @@ void TapEngine::RunBatch(Duration dt) {
     }
     use_pool = busy >= 2;
   }
-  if (split_shards_.empty() && cuts_.empty()) {
-    if (use_pool && num_shards_ > 1) {
-      executor_->Run(this, num_shards_, shard_order_.data());
-    } else {
-      for (uint32_t s = 0; s < num_shards_; ++s) {
-        RunShard(s);
-      }
-    }
-  } else {
-    // Two-phase pipeline (range splits and articulation cuts share it).
-    // Phase A: every shard's pass 1 (whole-shard tickets run their full
-    // batch; split shards run per-range demand passes into private lanes;
-    // cut members run their whole demand pass). Serial reduce/classify:
-    // fold split lanes in range order into the canonical per-group demand,
-    // classify each split group, and arm the fused fallback for any cut
-    // parent whose boundary deferral is not provably invisible. Phase B:
-    // the split shards' unconstrained entries and the cut members' transfer
-    // passes (boundary entries drain into lanes), racing only on
-    // shard/range-exclusive state. Serial finalize: split deferred effects,
-    // the boundary settlement in fixed cut order, and the decay slices —
-    // all in fixed shard/range/cut order. The reduction and settlement
-    // orders, not the ticket interleaving, define every result bit.
-    const auto n1 = static_cast<uint32_t>(tickets_pass1_.size());
-    if (use_pool && n1 > 1) {
-      executor_->RunTickets(this, tickets_pass1_.data(), n1);
-    } else {
-      for (const ShardTicket& t : tickets_pass1_) {
-        RunTicket(t);
-      }
-    }
+  // The one batch pipeline. Phase A: every shard's pass 1 (whole-shard
+  // tickets run their full batch; split shards run per-range demand passes
+  // into private lanes; cut members run their whole demand pass). Serial
+  // reduce/classify: fold split lanes in range order into the canonical
+  // per-group demand, classify each split group, and arm the fused fallback
+  // for any cut parent whose boundary deferral is not provably invisible.
+  // Phase B: the split shards' unconstrained entries and the cut members'
+  // transfer passes (boundary entries drain into lanes), racing only on
+  // shard/range-exclusive state. Serial finalize: split deferred effects, the
+  // boundary settlement in fixed cut order, and the decay slices — all in
+  // fixed shard/range/cut order. The reduction and settlement orders, not the
+  // ticket interleaving, define every result bit. With nothing split or cut,
+  // phase A is the whole batch: the serial steps and the empty pass-2 table
+  // are skipped, not run empty.
+  Dispatch(tickets_pass1_, use_pool);
+  if (!split_shards_.empty() || !cuts_.empty()) {
     const auto nu = static_cast<uint32_t>(split_shards_.size());
     for (uint32_t u = 0; u < nu; ++u) {
       ReduceSplitDemand(u);
@@ -949,14 +910,7 @@ void TapEngine::RunBatch(Duration dt) {
     if (!cuts_.empty()) {
       ClassifyCutParents();
     }
-    const auto n2 = static_cast<uint32_t>(tickets_pass2_.size());
-    if (use_pool && n2 > 1) {
-      executor_->RunTickets(this, tickets_pass2_.data(), n2);
-    } else {
-      for (const ShardTicket& t : tickets_pass2_) {
-        RunTicket(t);
-      }
-    }
+    Dispatch(tickets_pass2_, use_pool);
     for (uint32_t u = 0; u < nu; ++u) {
       FinalizeSplitShard(u);
     }
@@ -971,10 +925,12 @@ void TapEngine::RunBatch(Duration dt) {
   // the unsharded engine, where every tap reads the battery before the decay
   // pass touches it.
   Reserve* battery = battery_cache_;
+  Quantity tap_flow = 0;
+  Quantity decay_flow = 0;
   for (uint32_t s = 0; s < num_shards_; ++s) {
     const ShardScratch& sc = scratch_[s];
-    total_tap_flow_ += sc.tap_flow;
-    total_decay_flow_ += sc.decay_flow;
+    tap_flow += sc.tap_flow;
+    decay_flow += sc.decay_flow;
     stats_[s].tap_flow += sc.tap_flow;
     stats_[s].decay_flow += sc.decay_flow;
     if (sc.decay_leak > 0) {
@@ -983,156 +939,45 @@ void TapEngine::RunBatch(Duration dt) {
         sink = battery;
       }
       if (sink != nullptr) {
-        sink->Deposit(sc.decay_leak);
-        if (telem_reserve_ops_) {
-          EmitSinkDeposit(sink, sc.decay_leak);
-        }
+        DepositToSink(sink, sc.decay_leak);
       }
     }
     if (sc.decay_stray > 0 && battery != nullptr) {
-      battery->Deposit(sc.decay_stray);
-      if (telem_reserve_ops_) {
-        EmitSinkDeposit(battery, sc.decay_stray);
-      }
+      DepositToSink(battery, sc.decay_stray);
     }
   }
+  total_tap_flow_ += tap_flow;
+  total_decay_flow_ += decay_flow;
   // One frame per batch: drain every worker ring into the spill (we are past
   // the executor's happens-before edge) and stamp the mark.
   if (telem_on_) {
     telem_->FlushFrame();
   }
-  note_if_flow_moved();
-}
-
-void TapEngine::RunShard(uint32_t shard) {
-  const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
-  ShardScratch& sc = scratch_[shard];
-  sc = ShardScratch{};
-  sc.tap_flow = RunShardTaps(shard);
-  if (decay_.enabled) {
-    const DecayResult dr = DecayShard(shard);
-    sc.decay_flow = dr.flow;
-    sc.decay_leak = dr.leak;
-    sc.decay_stray = dr.stray;
-  }
-  if (telem_shard_batch_ || telem_shard_timing_) {
-    // This worker's own ring (single-writer); null when the domain has no
-    // ring for the slot — then the records are skipped, never misfiled.
-    const uint32_t slot = ShardExecutor::current_worker_slot();
-    if (TraceRing* ring = telem_->ring(slot)) {
-      const int64_t now = telem_->time_us();
-      if (telem_shard_batch_) {
-        ring->Emit(now, RecordKind::kShardBatch, shard, 0, 0, sc.tap_flow, sc.decay_flow);
-      }
-      if (telem_shard_timing_) {
-        ring->Emit(now, RecordKind::kShardTiming, shard, static_cast<uint16_t>(slot), 0,
-                   NowNs() - t0, 0);
-      }
-    }
+  // The batch loops write reserve levels through the state-bank arrays, not
+  // through Reserve's named mutators, so the scheduler's run plan would not
+  // see the movement. A batch that moved tap or decay flow is an out-of-band
+  // level mutation and bumps the kernel reserve-op epoch; an all-idle batch
+  // leaves plans alive across the boundary. (Sink leak deposits go through
+  // Reserve::Deposit and bump on their own.)
+  if (tap_flow != 0 || decay_flow != 0) {
+    kernel_->NoteReserveOp();
   }
 }
 
-Quantity TapEngine::RunShardTaps(uint32_t shard) {
-  const double dt_s = batch_dt_s_;
-  const uint32_t begin = shard_plan_begin_[shard];
-  const uint32_t end = shard_plan_begin_[shard + 1];
-  // Everything the two passes touch is a flat array: the dense plan triple
-  // (src slot, dst slot, group), the reserve bank, and the padded per-entry
-  // arrays rebased through `tb` so this shard's slice is cache-line exclusive.
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  double* const tcarry = tbank_.carries();
-  Quantity* const ttrans = tbank_.transferred();
-  const QuantityRate* const trate = tbank_.rates();
-  const double* const tfrac = tbank_.fractions();
-  const uint8_t* const tflags = tbank_.flags();
-  const uint32_t* const src_slot = plan_src_.data();
-  const uint32_t* const dst_slot = plan_dst_.data();
-  const uint32_t* const group_of = plan_group_.data();
-  const uint32_t tb = shard_want_begin_[shard] - begin;
-  // Two passes. Pass 1 computes each tap's demand for this batch; pass 2
-  // executes transfers in id (creation) order, giving taps that contend for
-  // the same constrained source a proportional share of whatever is
-  // available when they flow (e.g. two applications drawing from the shared
-  // 14 mW background reserve of Figure 7 each receive ~7 mW instead of the
-  // oldest tap winning every batch). Deposits made by earlier taps in the
-  // same batch are visible to later ones, so feed taps created before their
-  // consumers pipeline within a single batch. Fully deterministic.
-  std::fill(group_base_ + shard_group_begin_[shard],
-            group_base_ + shard_group_begin_[shard + 1], 0.0);
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t ti = tb + i;
-    const uint8_t f = tflags[ti];
-    if ((f & TapStateBank::kEnabled) == 0) {
-      want_base_[ti] = -1.0;  // Wants are never negative, so -1 is a safe skip mark.
-      continue;
-    }
-    double want = tcarry[ti];
-    if ((f & TapStateBank::kProportional) != 0) {
-      const Quantity level = lvl[src_slot[i]] > 0 ? lvl[src_slot[i]] : 0;
-      want += static_cast<double>(level) * tfrac[ti] * dt_s;
-    } else {
-      want += static_cast<double>(trate[ti]) * dt_s;
-    }
-    want_base_[ti] = want;
-    group_base_[group_of[i]] += want;
+void TapEngine::Dispatch(const std::vector<ShardTicket>& tickets, bool use_pool) {
+  if (use_pool) {
+    executor_->RunTickets(this, tickets.data(), static_cast<uint32_t>(tickets.size()));
+    return;
   }
-  TraceRing* const tap_trace =
-      telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
-  Quantity shard_flow = 0;
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t ti = tb + i;
-    const double want = want_base_[ti];
-    if (want < 0.0) {
-      continue;
-    }
-    double& demand = group_base_[group_of[i]];
-    const Quantity src_level = lvl[src_slot[i]];
-    const double avail = src_level > 0 ? static_cast<double>(src_level) : 0.0;
-    const double scale = (demand > avail && demand > 0.0) ? avail / demand : 1.0;
-    const double granted = want * scale;
-    demand -= want;
-    auto whole = static_cast<Quantity>(granted);
-    // The carry keeps only the sub-unit part of the granted flow; demand the
-    // source could not cover is dropped, not banked.
-    tcarry[ti] = granted - static_cast<double>(whole);
-    if (whole <= 0) {
-      continue;
-    }
-    Quantity moved = src_level < whole ? src_level : whole;
-    if (moved <= 0) {
-      continue;
-    }
-    lvl[src_slot[i]] = src_level - moved;
-    // Deposit into the sink, including the skip-list re-add the
-    // Reserve::Deposit listener hook fires on an empty -> non-empty flip.
-    const uint32_t d = dst_slot[i];
-    const Quantity dst_level = lvl[d];
-    lvl[d] = dst_level + moved;
-    dep[d] += moved;
-    if (dst_level <= 0 && lvl[d] > 0) {
-      const uint8_t df = rflags[d];
-      if ((df & ReserveStateBank::kDecayWired) != 0 &&
-          (df & ReserveStateBank::kInDecayList) == 0) {
-        rflags[d] = df | ReserveStateBank::kInDecayList;
-        decay_active_[shard].push_back(d);
-      }
-    }
-    ttrans[ti] += moved;
-    shard_flow += moved;
-    if (tap_trace != nullptr) {
-      tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
-                      static_cast<uint16_t>(shard & 0xffff), 0, moved, 0);
-    }
+  for (const ShardTicket& t : tickets) {
+    RunTicket(t);
   }
-  return shard_flow;
 }
 
 void TapEngine::RunTicket(const ShardTicket& t) {
   switch (t.kind) {
     case ShardTicketKind::kWholeShard:
-      RunShard(t.shard);
+      RunWholeShard(t.shard);
       break;
     case ShardTicketKind::kPass1Range:
       RunPass1Range(t.split, t.range);
@@ -1141,7 +986,7 @@ void TapEngine::RunTicket(const ShardTicket& t) {
       RunPass2Range(t.split, t.range);
       break;
     case ShardTicketKind::kCutPass1:
-      RunCutPass1(t.shard);
+      RunShardPass1(t.shard);
       break;
     case ShardTicketKind::kCutPass2:
       RunCutPass2(t.shard);
@@ -1149,18 +994,48 @@ void TapEngine::RunTicket(const ShardTicket& t) {
   }
 }
 
-void TapEngine::RunPass1Range(uint32_t split, uint32_t range) {
-  // Pass 1 of RunShard over one contiguous plan-entry range, demand
-  // accumulated into the range's private lane slice instead of the shard's
-  // group_base_. Reads reserve levels (frozen until pass 2) and tap state,
-  // writes only this range's slice of want_/lanes — any interleaving with
-  // other tickets is race-free.
-  const int64_t t0 = telem_range_timing_ ? NowNs() : 0;
-  const uint32_t shard = split_shards_[split];
-  const uint32_t rr = split * split_k_ + range;
-  const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (split_k_ + 1);
-  const uint32_t begin = bounds[range];
-  const uint32_t end = bounds[range + 1];
+inline void TapEngine::RunWholeShard(uint32_t shard) {
+  // Two passes. Pass 1 computes each tap's demand for this batch; pass 2
+  // executes transfers in id (creation) order, giving taps that contend for
+  // the same constrained source a proportional share of whatever is
+  // available when they flow (e.g. two applications drawing from the shared
+  // 14 mW background reserve of Figure 7 each receive ~7 mW instead of the
+  // oldest tap winning every batch). Deposits made by earlier taps in the
+  // same batch are visible to later ones, so feed taps created before their
+  // consumers pipeline within a single batch. Fully deterministic.
+  const int64_t t0 = telem_shard_timing_ ? NowNs() : kUntimed;
+  const uint32_t begin = shard_plan_begin_[shard];
+  const uint32_t end = shard_plan_begin_[shard + 1];
+  Quantity flow = 0;
+  // A shard without taps (a decay-only engine, a stray shard) has no passes
+  // to run; their setup alone would cost more than its decay slice. Pass 1
+  // is spelled out here rather than called through RunShardPass1: the extra
+  // call made a one-tap batch (BM_TapBatch/1) up to 30% slower.
+  if (begin < end) {
+    std::fill(group_base_ + shard_group_begin_[shard],
+              group_base_ + shard_group_begin_[shard + 1], 0.0);
+    DemandPass(shard, begin, end, group_base_, plan_group_.data());
+    flow = TransferPass<false, false>(shard, begin, end);
+  }
+  FinishShard(shard, flow, t0);
+}
+
+void TapEngine::RunShardPass1(uint32_t shard) {
+  // A cut member's kCutPass1 (cut members never range-split: the cut
+  // threshold already bounds their sections). It reads levels, frozen until
+  // phase B, and writes only this shard's want_ and group slices, so any
+  // ticket interleaving is race-free.
+  std::fill(group_base_ + shard_group_begin_[shard], group_base_ + shard_group_begin_[shard + 1],
+            0.0);
+  DemandPass(shard, shard_plan_begin_[shard], shard_plan_begin_[shard + 1], group_base_,
+             plan_group_.data());
+}
+
+inline void TapEngine::DemandPass(uint32_t shard, uint32_t begin, uint32_t end,
+                                  double* demand, const uint32_t* slot_of) {
+  // Everything the two passes touch is a flat array: the dense plan triple
+  // (src slot, dst slot, group), the reserve bank, and the padded per-entry
+  // arrays rebased through `tb` so this shard's slice is cache-line exclusive.
   const double dt_s = batch_dt_s_;
   const Quantity* const lvl = rbank_.levels();
   const double* const tcarry = tbank_.carries();
@@ -1168,9 +1043,6 @@ void TapEngine::RunPass1Range(uint32_t split, uint32_t range) {
   const double* const tfrac = tbank_.fractions();
   const uint8_t* const tflags = tbank_.flags();
   const uint32_t* const src_slot = plan_src_.data();
-  double* const lane = lanes_.demand() + lane_base_[rr];
-  const uint32_t lane_cnt = range_group_begin_[rr + 1] - range_group_begin_[rr];
-  std::fill(lane, lane + lane_cnt, 0.0);
   const uint32_t tb = shard_want_begin_[shard] - shard_plan_begin_[shard];
   for (uint32_t i = begin; i < end; ++i) {
     const uint32_t ti = tb + i;
@@ -1187,15 +1059,118 @@ void TapEngine::RunPass1Range(uint32_t split, uint32_t range) {
       want += static_cast<double>(trate[ti]) * dt_s;
     }
     want_base_[ti] = want;
-    lane[entry_lane_[i]] += want;
+    demand[slot_of[i]] += want;
   }
-  if (telem_range_timing_) {
-    const uint32_t slot = ShardExecutor::current_worker_slot();
-    if (TraceRing* ring = telem_->ring(slot)) {
-      ring->Emit(telem_->time_us(), RecordKind::kRangeTiming, shard,
-                 static_cast<uint16_t>(slot << 8 | (range & 0xff)), 1, NowNs() - t0, 0);
+}
+
+template <bool kConstrainedOnly, bool kBoundaryLanes>
+Quantity TapEngine::TransferPass(uint32_t shard, uint32_t begin, uint32_t end) {
+  TraceRing* const tap_trace =
+      telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
+  Quantity* const lvl = rbank_.levels();
+  Quantity* const dep = rbank_.deposited();
+  uint8_t* const rflags = rbank_.flags();
+  double* const tcarry = tbank_.carries();
+  Quantity* const ttrans = tbank_.transferred();
+  const uint32_t* const src_slot = plan_src_.data();
+  const uint32_t* const dst_slot = plan_dst_.data();
+  const uint32_t* const group_of = plan_group_.data();
+  Quantity* const lanes = kBoundaryLanes ? boundary_.amounts() : nullptr;
+  std::vector<uint32_t>& active = decay_active_[shard];
+  const uint32_t tb = shard_want_begin_[shard] - shard_plan_begin_[shard];
+  Quantity flow = 0;
+  for (uint32_t i = begin; i < end; ++i) {
+    if (kConstrainedOnly && group_fast_[group_of[i]] != 0) {
+      continue;
+    }
+    const uint32_t ti = tb + i;
+    const double want = want_base_[ti];
+    if (want < 0.0) {
+      continue;
+    }
+    const Quantity moved = Grant(want, group_base_[group_of[i]], lvl[src_slot[i]], tcarry[ti]);
+    if (moved <= 0) {
+      continue;
+    }
+    if (kBoundaryLanes && entry_cut_lane_[i] != kNoCut) {
+      lanes[entry_cut_lane_[i]] = moved;  // Settlement deposits it at the batch boundary.
+    } else if (DepositRelists(lvl, dep, rflags, dst_slot[i], moved)) {
+      active.push_back(dst_slot[i]);
+    }
+    ttrans[ti] += moved;
+    flow += moved;
+    if (tap_trace != nullptr) {
+      tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
+                      static_cast<uint16_t>(shard & 0xffff), 0, moved, 0);
     }
   }
+  return flow;
+}
+
+bool TapEngine::GroupFits(uint32_t group, const Quantity* lvl) const {
+  // Within a shard only the group itself drains its source, and deposits only
+  // raise levels, so a total within the opening level holds for the whole
+  // pass. The margin absorbs the reduction's FP rounding and the
+  // int64->double conversion of the level; misclassifying toward
+  // "constrained" only routes entries to the ordered path — it can never
+  // break conservation or determinism.
+  const double total = group_base_[group];
+  const Quantity level = lvl[group_src_slot_[group]];
+  return total == 0.0 || (level > 0 && total <= static_cast<double>(level) * (1.0 - 1e-6));
+}
+
+inline void TapEngine::FinishShard(uint32_t shard, Quantity tap_flow, int64_t t0) {
+  const DecayResult dr = decay_.enabled ? DecayShard(shard) : DecayResult{};
+  scratch_[shard] = ShardScratch{tap_flow, dr.leak, dr.flow, dr.stray};
+  EmitShardRecords(shard, /*batch=*/true, t0);
+}
+
+inline void TapEngine::EmitShardRecords(uint32_t shard, bool batch, int64_t t0) {
+  batch = batch && telem_shard_batch_;
+  if (!batch && t0 == kUntimed) {
+    return;
+  }
+  // This worker's own ring (single-writer); null when the domain has no ring
+  // for the slot — then the records are skipped, never misfiled.
+  const uint32_t slot = ShardExecutor::current_worker_slot();
+  if (TraceRing* ring = telem_->ring(slot)) {
+    const int64_t now = telem_->time_us();
+    if (batch) {
+      const ShardScratch& sc = scratch_[shard];
+      ring->Emit(now, RecordKind::kShardBatch, shard, 0, 0, sc.tap_flow, sc.decay_flow);
+    }
+    if (t0 != kUntimed) {
+      ring->Emit(now, RecordKind::kShardTiming, shard, static_cast<uint16_t>(slot), 0,
+                 NowNs() - t0, 0);
+    }
+  }
+}
+
+void TapEngine::EmitRangeTiming(uint32_t shard, uint32_t range, uint8_t pass, int64_t t0) {
+  if (!telem_range_timing_) {
+    return;
+  }
+  const uint32_t slot = ShardExecutor::current_worker_slot();
+  if (TraceRing* ring = telem_->ring(slot)) {
+    ring->Emit(telem_->time_us(), RecordKind::kRangeTiming, shard,
+               static_cast<uint16_t>(slot << 8 | (range & 0xff)), pass, NowNs() - t0, 0);
+  }
+}
+
+void TapEngine::RunPass1Range(uint32_t split, uint32_t range) {
+  // Pass 1 over one contiguous plan-entry range, demand accumulated into the
+  // range's private lane slice instead of the shard's group_base_. Reads
+  // reserve levels (frozen until pass 2) and tap state, writes only this
+  // range's slice of want_/lanes — any interleaving with other tickets is
+  // race-free.
+  const int64_t t0 = telem_range_timing_ ? NowNs() : 0;
+  const uint32_t shard = split_shards_[split];
+  const uint32_t rr = split * split_k_ + range;
+  const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(split) * (split_k_ + 1);
+  double* const lane = lanes_.demand() + lane_base_[rr];
+  std::fill(lane, lane + (range_group_begin_[rr + 1] - range_group_begin_[rr]), 0.0);
+  DemandPass(shard, bounds[range], bounds[range + 1], lane, entry_lane_.data());
+  EmitRangeTiming(shard, range, 1, t0);
 }
 
 void TapEngine::ReduceSplitDemand(uint32_t split) {
@@ -1217,21 +1192,13 @@ void TapEngine::ReduceSplitDemand(uint32_t split) {
       group_base_[range_group_ids_[j]] += lane[j - cb];
     }
   }
-  // Classification: a group whose total demand provably fits its source's
-  // opening level gets scale == 1 and no clamp for every entry regardless of
-  // execution order (within a shard only the group itself drains its source,
-  // and deposits only raise levels), so its entries are exactly
-  // parallelizable in pass 2. The margin absorbs the reduction's FP rounding
-  // and the int64->double conversion of the level; misclassifying toward
-  // "constrained" only routes entries to the ordered path — it can never
-  // break conservation or determinism.
+  // Classification: a group that provably fits its source's opening level
+  // gets scale == 1 and no clamp for every entry regardless of execution
+  // order, so its entries are exactly parallelizable in pass 2.
   const Quantity* const lvl = rbank_.levels();
   uint32_t slow = 0;
   for (uint32_t g = gb; g < gb + gcount; ++g) {
-    const double total = group_base_[g];
-    const Quantity level = lvl[group_src_slot_[g]];
-    const bool fast =
-        total == 0.0 || (level > 0 && total <= static_cast<double>(level) * (1.0 - 1e-6));
+    const bool fast = GroupFits(g, lvl);
     group_fast_[g] = fast ? 1 : 0;
     if (!fast) {
       slow += group_size_[g];
@@ -1284,22 +1251,12 @@ void TapEngine::RunPass2Range(uint32_t split, uint32_t range) {
       const uint32_t di = begin + rs.n_deferred++;
       deferred_slot_[di] = d;
       deferred_amt_[di] = whole;
-    } else {
+    } else if (DepositRelists(lvl, dep, rflags, d, whole)) {
       // This range is the slot's only writer this phase (its flag byte
-      // included), so the deposit and the empty -> non-empty decay re-add
-      // check mirror RunShard's directly; the re-add itself is deferred
-      // because the shard's skip-list is shared across ranges.
-      const Quantity dst_level = lvl[d];
-      lvl[d] = dst_level + whole;
-      dep[d] += whole;
-      if (dst_level <= 0 && lvl[d] > 0) {
-        const uint8_t df = rflags[d];
-        if ((df & ReserveStateBank::kDecayWired) != 0 &&
-            (df & ReserveStateBank::kInDecayList) == 0) {
-          rflags[d] = df | ReserveStateBank::kInDecayList;
-          pending_slot_[begin + rs.n_pending++] = d;
-        }
-      }
+      // included), so the deposit and its flip test run directly; the
+      // re-add itself is deferred because the shard's skip-list is shared
+      // across ranges.
+      pending_slot_[begin + rs.n_pending++] = d;
     }
     ttrans[ti] += whole;
     rs.tap_flow += whole;
@@ -1308,18 +1265,11 @@ void TapEngine::RunPass2Range(uint32_t split, uint32_t range) {
                       static_cast<uint16_t>(shard & 0xffff), 0, whole, 0);
     }
   }
-  if (telem_range_timing_) {
-    const uint32_t slot = ShardExecutor::current_worker_slot();
-    if (TraceRing* ring = telem_->ring(slot)) {
-      ring->Emit(telem_->time_us(), RecordKind::kRangeTiming, shard,
-                 static_cast<uint16_t>(slot << 8 | (range & 0xff)), 2, NowNs() - t0, 0);
-    }
-  }
+  EmitRangeTiming(shard, range, 2, t0);
 }
 
 void TapEngine::FinalizeSplitShard(uint32_t split) {
   const uint32_t shard = split_shards_[split];
-  scratch_[shard] = ShardScratch{};
   Quantity* const lvl = rbank_.levels();
   Quantity* const dep = rbank_.deposited();
   uint8_t* const rflags = rbank_.flags();
@@ -1338,17 +1288,8 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
     const uint32_t base = bounds[r];
     for (uint32_t j = 0; j < rs.n_deferred; ++j) {
       const uint32_t d = deferred_slot_[base + j];
-      const Quantity m = deferred_amt_[base + j];
-      const Quantity dst_level = lvl[d];
-      lvl[d] = dst_level + m;
-      dep[d] += m;
-      if (dst_level <= 0 && lvl[d] > 0) {
-        const uint8_t df = rflags[d];
-        if ((df & ReserveStateBank::kDecayWired) != 0 &&
-            (df & ReserveStateBank::kInDecayList) == 0) {
-          rflags[d] = df | ReserveStateBank::kInDecayList;
-          active.push_back(d);
-        }
+      if (DepositRelists(lvl, dep, rflags, d, deferred_amt_[base + j])) {
+        active.push_back(d);
       }
     }
     for (uint32_t j = 0; j < rs.n_pending; ++j) {
@@ -1367,122 +1308,17 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
       }
     }
   }
-  // The constrained tail, in plan (tap-id) order with RunShard's exact pass-2
-  // body — running demand decrement, proportional scale, source clamp —
-  // against the range-order-reduced group totals. Skipped entirely when the
+  // The constrained tail, in plan (tap-id) order with the whole-shard pass 2
+  // — running demand decrement, proportional scale, source clamp — against
+  // the range-order-reduced group totals. Skipped entirely when the
   // classification found every group unconstrained (the common giant-fan-out
   // case), keeping the serial section O(ranges + groups).
   if (split_slow_entries_[split] > 0) {
-    const uint32_t begin = bounds[0];
-    const uint32_t end = bounds[split_k_];
-    TraceRing* const tap_trace =
-        telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
-    double* const tcarry = tbank_.carries();
-    Quantity* const ttrans = tbank_.transferred();
-    const uint32_t* const src_slot = plan_src_.data();
-    const uint32_t* const dst_slot = plan_dst_.data();
-    const uint32_t* const group_of = plan_group_.data();
-    const uint32_t tb = shard_want_begin_[shard] - begin;
-    for (uint32_t i = begin; i < end; ++i) {
-      if (group_fast_[group_of[i]] != 0) {
-        continue;
-      }
-      const uint32_t ti = tb + i;
-      const double want = want_base_[ti];
-      if (want < 0.0) {
-        continue;
-      }
-      double& demand = group_base_[group_of[i]];
-      const Quantity src_level = lvl[src_slot[i]];
-      const double avail = src_level > 0 ? static_cast<double>(src_level) : 0.0;
-      const double scale = (demand > avail && demand > 0.0) ? avail / demand : 1.0;
-      const double granted = want * scale;
-      demand -= want;
-      auto whole = static_cast<Quantity>(granted);
-      tcarry[ti] = granted - static_cast<double>(whole);
-      if (whole <= 0) {
-        continue;
-      }
-      Quantity moved = src_level < whole ? src_level : whole;
-      if (moved <= 0) {
-        continue;
-      }
-      lvl[src_slot[i]] = src_level - moved;
-      const uint32_t d = dst_slot[i];
-      const Quantity dst_level = lvl[d];
-      lvl[d] = dst_level + moved;
-      dep[d] += moved;
-      if (dst_level <= 0 && lvl[d] > 0) {
-        const uint8_t df = rflags[d];
-        if ((df & ReserveStateBank::kDecayWired) != 0 &&
-            (df & ReserveStateBank::kInDecayList) == 0) {
-          rflags[d] = df | ReserveStateBank::kInDecayList;
-          active.push_back(d);
-        }
-      }
-      ttrans[ti] += moved;
-      flow += moved;
-      if (tap_trace != nullptr) {
-        tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
-                        static_cast<uint16_t>(shard & 0xffff), 0, moved, 0);
-      }
-    }
-  }
-  ShardScratch& sc = scratch_[shard];
-  sc.tap_flow = flow;
-  if (decay_.enabled) {
-    const DecayResult dr = DecayShard(shard);
-    sc.decay_flow = dr.flow;
-    sc.decay_leak = dr.leak;
-    sc.decay_stray = dr.stray;
+    flow += TransferPass<true, false>(shard, bounds[0], bounds[split_k_]);
   }
   // Split shards' per-range work is covered by kRangeTiming; the batch record
   // itself is written here, on the (serial) finalize thread.
-  if (telem_shard_batch_) {
-    if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
-      ring->Emit(telem_->time_us(), RecordKind::kShardBatch, shard, 0, 0, sc.tap_flow,
-                 sc.decay_flow);
-    }
-  }
-}
-
-void TapEngine::RunCutPass1(uint32_t shard) {
-  // RunShardTaps' exact pass 1 over one whole cut member sub-shard (cut
-  // members never range-split: the cut threshold already bounds their
-  // sections). Reads levels (frozen until phase B) and tap state, writes
-  // only this shard's want_/group slices and scratch, so any ticket
-  // interleaving is race-free.
-  scratch_[shard] = ShardScratch{};
-  const double dt_s = batch_dt_s_;
-  const uint32_t begin = shard_plan_begin_[shard];
-  const uint32_t end = shard_plan_begin_[shard + 1];
-  const Quantity* const lvl = rbank_.levels();
-  const double* const tcarry = tbank_.carries();
-  const QuantityRate* const trate = tbank_.rates();
-  const double* const tfrac = tbank_.fractions();
-  const uint8_t* const tflags = tbank_.flags();
-  const uint32_t* const src_slot = plan_src_.data();
-  const uint32_t* const group_of = plan_group_.data();
-  const uint32_t tb = shard_want_begin_[shard] - begin;
-  std::fill(group_base_ + shard_group_begin_[shard], group_base_ + shard_group_begin_[shard + 1],
-            0.0);
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t ti = tb + i;
-    const uint8_t f = tflags[ti];
-    if ((f & TapStateBank::kEnabled) == 0) {
-      want_base_[ti] = -1.0;  // Wants are never negative, so -1 is a safe skip mark.
-      continue;
-    }
-    double want = tcarry[ti];
-    if ((f & TapStateBank::kProportional) != 0) {
-      const Quantity level = lvl[src_slot[i]] > 0 ? lvl[src_slot[i]] : 0;
-      want += static_cast<double>(level) * tfrac[ti] * dt_s;
-    } else {
-      want += static_cast<double>(trate[ti]) * dt_s;
-    }
-    want_base_[ti] = want;
-    group_base_[group_of[i]] += want;
-  }
+  FinishShard(shard, flow, kUntimed);
 }
 
 void TapEngine::ClassifyCutParents() {
@@ -1502,14 +1338,8 @@ void TapEngine::ClassifyCutParents() {
     uint8_t fused = 0;
     for (uint32_t c = parent_cut_begin_[p]; c < parent_cut_begin_[p + 1]; ++c) {
       const uint32_t g = cuts_[c].dst_group;
-      if (g == kNoCut) {
-        continue;  // The destination sources no taps: deferral is invisible.
-      }
-      const double total = group_base_[g];
-      const Quantity level = lvl[group_src_slot_[g]];
-      const bool fast =
-          total == 0.0 || (level > 0 && total <= static_cast<double>(level) * (1.0 - 1e-6));
-      if (!fast) {
+      // kNoCut: the destination sources no taps, so deferral is invisible.
+      if (g != kNoCut && !GroupFits(g, lvl)) {
         fused = 1;
         break;
       }
@@ -1519,88 +1349,25 @@ void TapEngine::ClassifyCutParents() {
 }
 
 void TapEngine::RunCutPass2(uint32_t shard) {
-  const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
+  const int64_t t0 = telem_shard_timing_ ? NowNs() : kUntimed;
   if (parent_fused_[shard_cut_parent_[shard]] != 0) {
     // A cut destination in this parent was constrained: the serial fused
-    // fallback replays the whole parent's pass 2 at settlement instead.
+    // fallback replays the whole parent's pass 2 at settlement instead,
+    // accumulating this shard's flow from zero.
+    scratch_[shard].tap_flow = 0;
     return;
   }
   // Zero this sub-shard's lane slice (padding included) — each lane's sole
   // writer is one boundary entry of this shard.
   Quantity* const lanes = boundary_.amounts();
   std::fill(lanes + shard_lane_begin_[shard], lanes + shard_lane_begin_[shard + 1], Quantity{0});
-  // RunShardTaps' exact pass 2, except boundary entries park the moved
-  // amount in their lane instead of depositing cross-shard; everything else
-  // this loop writes (source levels, intra-shard destinations, the decay
-  // list) is owned by this sub-shard.
-  TraceRing* const tap_trace =
-      telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
-  const uint32_t begin = shard_plan_begin_[shard];
-  const uint32_t end = shard_plan_begin_[shard + 1];
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  double* const tcarry = tbank_.carries();
-  Quantity* const ttrans = tbank_.transferred();
-  const uint32_t* const src_slot = plan_src_.data();
-  const uint32_t* const dst_slot = plan_dst_.data();
-  const uint32_t* const group_of = plan_group_.data();
-  const uint32_t tb = shard_want_begin_[shard] - begin;
-  Quantity shard_flow = 0;
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint32_t ti = tb + i;
-    const double want = want_base_[ti];
-    if (want < 0.0) {
-      continue;
-    }
-    double& demand = group_base_[group_of[i]];
-    const Quantity src_level = lvl[src_slot[i]];
-    const double avail = src_level > 0 ? static_cast<double>(src_level) : 0.0;
-    const double scale = (demand > avail && demand > 0.0) ? avail / demand : 1.0;
-    const double granted = want * scale;
-    demand -= want;
-    auto whole = static_cast<Quantity>(granted);
-    tcarry[ti] = granted - static_cast<double>(whole);
-    if (whole <= 0) {
-      continue;
-    }
-    Quantity moved = src_level < whole ? src_level : whole;
-    if (moved <= 0) {
-      continue;
-    }
-    lvl[src_slot[i]] = src_level - moved;
-    const uint32_t lane = entry_cut_lane_[i];
-    if (lane != kNoCut) {
-      lanes[lane] = moved;  // Settlement deposits it at the batch boundary.
-    } else {
-      const uint32_t d = dst_slot[i];
-      const Quantity dst_level = lvl[d];
-      lvl[d] = dst_level + moved;
-      dep[d] += moved;
-      if (dst_level <= 0 && lvl[d] > 0) {
-        const uint8_t df = rflags[d];
-        if ((df & ReserveStateBank::kDecayWired) != 0 &&
-            (df & ReserveStateBank::kInDecayList) == 0) {
-          rflags[d] = df | ReserveStateBank::kInDecayList;
-          decay_active_[shard].push_back(d);
-        }
-      }
-    }
-    ttrans[ti] += moved;
-    shard_flow += moved;
-    if (tap_trace != nullptr) {
-      tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
-                      static_cast<uint16_t>(shard & 0xffff), 0, moved, 0);
-    }
-  }
-  scratch_[shard].tap_flow = shard_flow;
-  if (telem_shard_timing_) {
-    const uint32_t slot = ShardExecutor::current_worker_slot();
-    if (TraceRing* ring = telem_->ring(slot)) {
-      ring->Emit(telem_->time_us(), RecordKind::kShardTiming, shard, static_cast<uint16_t>(slot),
-                 0, NowNs() - t0, 0);
-    }
-  }
+  // The whole-shard pass 2, except boundary entries park the moved amount in
+  // their lane instead of depositing cross-shard; everything else this loop
+  // writes (source levels, intra-shard destinations, the decay list) is
+  // owned by this sub-shard.
+  scratch_[shard].tap_flow =
+      TransferPass<false, true>(shard, shard_plan_begin_[shard], shard_plan_begin_[shard + 1]);
+  EmitShardRecords(shard, /*batch=*/false, t0);
 }
 
 void TapEngine::RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* applied) {
@@ -1627,33 +1394,12 @@ void TapEngine::RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* app
     if (want < 0.0) {
       continue;
     }
-    double& demand = group_base_[group_of[i]];
-    const Quantity src_level = lvl[src_slot[i]];
-    const double avail = src_level > 0 ? static_cast<double>(src_level) : 0.0;
-    const double scale = (demand > avail && demand > 0.0) ? avail / demand : 1.0;
-    const double granted = want * scale;
-    demand -= want;
-    auto whole = static_cast<Quantity>(granted);
-    tcarry[ti] = granted - static_cast<double>(whole);
-    if (whole <= 0) {
-      continue;
-    }
-    Quantity moved = src_level < whole ? src_level : whole;
+    const Quantity moved = Grant(want, group_base_[group_of[i]], lvl[src_slot[i]], tcarry[ti]);
     if (moved <= 0) {
       continue;
     }
-    lvl[src_slot[i]] = src_level - moved;
-    const uint32_t d = dst_slot[i];
-    const Quantity dst_level = lvl[d];
-    lvl[d] = dst_level + moved;
-    dep[d] += moved;
-    if (dst_level <= 0 && lvl[d] > 0) {
-      const uint8_t df = rflags[d];
-      if ((df & ReserveStateBank::kDecayWired) != 0 &&
-          (df & ReserveStateBank::kInDecayList) == 0) {
-        rflags[d] = df | ReserveStateBank::kInDecayList;
-        decay_active_[fused_dst_shard_[j]].push_back(d);
-      }
+    if (DepositRelists(lvl, dep, rflags, dst_slot[i], moved)) {
+      decay_active_[fused_dst_shard_[j]].push_back(dst_slot[i]);
     }
     ttrans[ti] += moved;
     scratch_[s].tap_flow += moved;
@@ -1678,7 +1424,7 @@ void TapEngine::SettleCutParents() {
   Quantity* const lvl = rbank_.levels();
   Quantity* const dep = rbank_.deposited();
   uint8_t* const rflags = rbank_.flags();
-  Quantity* const lanes = boundary_.amounts();
+  const Quantity* const lanes = boundary_.amounts();
   const auto np = static_cast<uint32_t>(cut_parents_.size());
   for (uint32_t p = 0; p < np; ++p) {
     Quantity settled = 0;
@@ -1692,37 +1438,17 @@ void TapEngine::SettleCutParents() {
         if (m <= 0) {
           continue;
         }
-        const uint32_t d = cut.dst_slot;
-        const Quantity dst_level = lvl[d];
-        lvl[d] = dst_level + m;
-        dep[d] += m;
-        if (dst_level <= 0 && lvl[d] > 0) {
-          const uint8_t df = rflags[d];
-          if ((df & ReserveStateBank::kDecayWired) != 0 &&
-              (df & ReserveStateBank::kInDecayList) == 0) {
-            rflags[d] = df | ReserveStateBank::kInDecayList;
-            decay_active_[cut.dst_shard].push_back(d);
-          }
+        if (DepositRelists(lvl, dep, rflags, cut.dst_slot, m)) {
+          decay_active_[cut.dst_shard].push_back(cut.dst_slot);
         }
         settled += m;
         ++applied;
       }
     }
+    // Cut members time pass 2 only (their kShardTiming comes from the
+    // kCutPass2 ticket); the batch record is written here.
     for (uint32_t j = parent_shard_begin_[p]; j < parent_shard_begin_[p + 1]; ++j) {
-      const uint32_t s = parent_shards_[j];
-      ShardScratch& sc = scratch_[s];
-      if (decay_.enabled) {
-        const DecayResult dr = DecayShard(s);
-        sc.decay_flow = dr.flow;
-        sc.decay_leak = dr.leak;
-        sc.decay_stray = dr.stray;
-      }
-      if (telem_shard_batch_) {
-        if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
-          ring->Emit(telem_->time_us(), RecordKind::kShardBatch, s, 0, 0, sc.tap_flow,
-                     sc.decay_flow);
-        }
-      }
+      FinishShard(parent_shards_[j], scratch_[parent_shards_[j]].tap_flow, kUntimed);
     }
     if (telem_boundary_) {
       if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {

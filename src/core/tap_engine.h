@@ -20,13 +20,19 @@
 // batch in shard order, so results are bit-identical to the unsharded engine
 // regardless of worker count.
 //
+// One batch pipeline serves every mode (unsharded, sharded, range-split, cut):
+// pass-1 tickets, the serial split reduction and cut classification, pass-2
+// tickets, the serial split finalize and cut settlement, then one fixed-order
+// merge. Unsharded is the one-shard case — a single whole-shard ticket run in
+// the caller.
+//
 // Structure-of-arrays state bank: while a plan is live, the hot mutable state
 // of every reserve (level, deposited, decay carry, decay flags) and every
 // planned tap (carry, transferred, rate, enabled) lives in the engine-owned
 // ReserveStateBank / TapStateBank — parallel flat arrays indexed by dense
 // per-epoch slots, shard-major with cache-line-aligned shard slices. The plan
-// itself stores bank slots, not pointers: RunShard, both tap passes, and the
-// decay skip-list walk nothing but flat arrays. Reserve/Tap objects
+// itself stores bank slots, not pointers: both tap passes and the decay
+// skip-list walk nothing but flat arrays. Reserve/Tap objects
 // read/write through their slot while attached and get the state written back
 // on plan invalidation (see src/core/state_bank.h for the contract).
 #pragma once
@@ -81,7 +87,7 @@ struct DecayConfig {
   bool to_shard_root = false;
 };
 
-class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayListener {
+class TapEngine final : public KernelObserver, public ShardTask, public ReserveDecayListener {
  public:
   // `battery_reserve` is the root reserve decay leaks back into.
   TapEngine(Kernel* kernel, ObjectId battery_reserve);
@@ -191,11 +197,10 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // KernelObserver: drop deleted taps from the registry.
   void OnObjectDeleted(ObjectId id, ObjectType type) override;
 
-  // ShardTask (executor-facing): runs one shard's tap passes + decay slice.
-  void RunShard(uint32_t shard) override;
-  // Dispatches whole-shard and range tickets (split shards). Range tickets
-  // touch only their range's slice of the per-entry arrays plus private
-  // lanes, so any interleaving across workers is race-free.
+  // ShardTask (executor-facing): runs one ticket of the current batch phase —
+  // a whole shard's batch, one range of a split shard's pass, or one pass of
+  // a cut member. Every kind touches only state its shard or range owns, so
+  // any interleaving across workers is race-free.
   void RunTicket(const ShardTicket& t) override;
 
   // ReserveDecayListener: a reserve became non-empty (or lost its exemption)
@@ -214,11 +219,15 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   };
 
   // Per-shard batch accumulators, merged (in shard order) after the parallel
-  // phase. Cache-line sized so concurrent shards never false-share.
+  // phase. Cache-line sized so concurrent shards never false-share. FinishShard
+  // writes all four fields at once, as 8-byte stores; tap_flow and decay_flow
+  // are kept apart so the merge, which runs right after for a one-shard batch,
+  // does not read them as one 16-byte pair that the CPU cannot forward from
+  // two separate pending stores.
   struct alignas(64) ShardScratch {
     Quantity tap_flow = 0;
+    Quantity decay_leak = 0;  // Banked for the battery root / shard sink.
     Quantity decay_flow = 0;
-    Quantity decay_leak = 0;   // Banked for the battery root / shard sink.
     Quantity decay_stray = 0;  // Stray reserves' leakage: always the battery.
   };
 
@@ -228,11 +237,16 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   void RebuildPlan();
   // Range-split plan: selects oversized shards, computes (group-boundary
   // snapped) range bounds, per-range distinct-group lane maps, the
-  // shared/exclusive destination classification, and the two ticket tables.
+  // shared/exclusive destination classification.
   void BuildSplitPlan();
   // The phase ticket tables (pass 1 / pass 2), covering split ranges, cut
-  // members, and whole shards in largest-first order.
+  // members, and whole shards in largest-first order. Built for every plan:
+  // with nothing split or cut, pass 1 is one whole-shard ticket per shard and
+  // pass 2 is empty.
   void BuildTicketTables();
+  // Runs one phase's tickets: on the pool when `use_pool`, else in order in
+  // the caller.
+  void Dispatch(const std::vector<ShardTicket>& tickets, bool use_pool);
   // The split execution pipeline (see RunBatch): pass-1 ranges accumulate
   // demand into private lanes; a serial range-order reduction folds lanes
   // into the canonical per-group totals and classifies each group as
@@ -259,7 +273,6 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // serial settlement applies lanes in fixed cut order (or runs the fused
   // parents' pass 2 whole, serially, in tap-id order) and then the members'
   // decay slices — decay after settlement, exactly like the uncut order.
-  void RunCutPass1(uint32_t shard);
   void RunCutPass2(uint32_t shard);
   void ClassifyCutParents();
   void SettleCutParents();
@@ -268,19 +281,47 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // it (dead objects miss via their generation-tagged handles). Called before
   // every re-snapshot and from the destructor.
   void WriteBackBank();
-  // The two tap passes of one shard; returns the flow moved. RunShard and the
-  // single-shard fast path compose it with DecayShard.
-  Quantity RunShardTaps(uint32_t shard);
+  // -- The batch steps, each written once ---------------------------------------
+  // A kWholeShard ticket: pass 1, pass 2, and the shard's finish.
+  void RunWholeShard(uint32_t shard);
+  // A cut member's pass 1 (kCutPass1): zeroes the shard's group_base_ slice
+  // and accumulates its demand there. RunWholeShard does the same inline.
+  void RunShardPass1(uint32_t shard);
+  // The pass-1 loop over plan entries [begin, end) of `shard`: each enabled
+  // tap's want goes to want_ and is added to demand[slot_of[i]] — the
+  // shard's group totals (slot_of = plan_group_) or a range's private lane
+  // (slot_of = entry_lane_).
+  void DemandPass(uint32_t shard, uint32_t begin, uint32_t end, double* demand,
+                  const uint32_t* slot_of);
+  // The pass-2 loop over plan entries [begin, end) of `shard` in plan order;
+  // returns the flow moved. kConstrainedOnly skips unconstrained groups' entries
+  // (a split shard's serial tail: its pass-2 ranges ran those);
+  // kBoundaryLanes parks cut entries' moves in their boundary lanes (a cut
+  // member's kCutPass2).
+  template <bool kConstrainedOnly, bool kBoundaryLanes>
+  Quantity TransferPass(uint32_t shard, uint32_t begin, uint32_t end);
+  // A group whose total demand provably fits its source's opening level:
+  // scale == 1 and no clamp for each of its entries in any execution order.
+  bool GroupFits(uint32_t group, const Quantity* lvl) const;
+  // The end of one shard's batch: the decay slice, the shard's whole scratch
+  // (tap_flow is the flow its tap passes moved), then its kShardBatch record
+  // and, when t0 != kUntimed, its kShardTiming record.
+  static constexpr int64_t kUntimed = -1;
+  void FinishShard(uint32_t shard, Quantity tap_flow, int64_t t0);
   struct DecayResult {
     Quantity flow = 0;
     Quantity leak = 0;   // flow minus stray: banked for the battery root / shard sink.
     Quantity stray = 0;  // Stray reserves' leakage: always the battery.
   };
   DecayResult DecayShard(uint32_t shard);
-  // Telemetry cold paths: the rebuild-time plan table dump (spill-direct) and
-  // the merge loop's sink-deposit records.
+  // Telemetry: the per-shard records (kShardBatch when `batch`, kShardTiming
+  // since t0 unless kUntimed) and the split ranges' kRangeTiming, into the
+  // calling worker's ring; the rebuild-time plan table dump (spill-direct).
+  void EmitShardRecords(uint32_t shard, bool batch, int64_t t0);
+  void EmitRangeTiming(uint32_t shard, uint32_t range, uint8_t pass, int64_t t0);
   void EmitPlanRecords();
-  void EmitSinkDeposit(const Reserve* sink, Quantity amount);
+  // The merge's sink settlement: one leak deposit plus its record.
+  void DepositToSink(Reserve* sink, Quantity amount);
 
   Kernel* kernel_;
   ObjectId battery_reserve_;
@@ -333,7 +374,7 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   // own leakage with one compare.
   std::vector<Reserve*> shard_sink_;
   std::vector<uint32_t> shard_sink_slot_;
-  // Largest-first execution order handed to the ShardExecutor.
+  // Largest-first shard order; the ticket tables follow it.
   std::vector<uint32_t> shard_order_;
 
   // -- Range split (intra-shard parallel tap passes) ----------------------------
@@ -380,8 +421,9 @@ class TapEngine : public KernelObserver, public ShardTask, public ReserveDecayLi
   std::vector<uint32_t> shard_group_count_;   // Used (unpadded) groups per shard.
   std::vector<uint32_t> split_slow_entries_;  // Per split slot, set each batch.
   // Ticket tables handed to the executor: pass 1 covers every shard (range
-  // tickets for split shards, whole-shard tickets otherwise) in
-  // largest-first order; pass 2 covers only split shards' ranges.
+  // tickets for split shards, kCutPass1 for cut members, whole-shard tickets
+  // otherwise) in largest-first order; pass 2 covers only split shards'
+  // ranges and cut members.
   std::vector<ShardTicket> tickets_pass1_;
   std::vector<ShardTicket> tickets_pass2_;
   // Rebuild-only scratch for BuildSplitPlan (stamp maps over groups/slots).

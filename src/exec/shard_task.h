@@ -1,4 +1,4 @@
-// The per-shard work interface, split into its own dependency-free header so
+// The per-ticket work interface, split into its own dependency-free header so
 // producers of shard work (the tap engine in src/core) can implement it
 // without pulling the executor's <thread>/<condition_variable> machinery
 // into their own headers. The dependency arrow for the heavy half stays
@@ -24,9 +24,10 @@ enum class ShardTicketKind : uint8_t {
   kCutPass2 = 4,  // Transfer pass; boundary deposits drain into lanes.
 };
 
-// One claimable unit of batch work. For kWholeShard only `shard` is
-// meaningful; the range kinds carry the producer's dense split-slot index
-// (`split`, its table of split shards) and the range number within it.
+// One claimable unit of batch work. For the whole-shard and cut kinds only
+// `shard` is meaningful; the range kinds carry the producer's dense
+// split-slot index (`split`, its table of split shards) and the range number
+// within it.
 struct ShardTicket {
   uint32_t shard = 0;
   uint32_t split = 0;
@@ -34,23 +35,16 @@ struct ShardTicket {
   ShardTicketKind kind = ShardTicketKind::kWholeShard;
 };
 
-// One batch's worth of shardable work. RunShard(s) must touch only state
-// owned by shard `s`; it is called at most once per shard per Run. RunTicket
-// extends the same contract to range subdivisions: a range ticket must touch
-// only per-range-exclusive state of its shard (private lanes, its slice of
-// the per-entry arrays), so any interleaving of tickets is race-free and the
-// producer's fixed-order reduction alone defines the result.
+// One batch phase's worth of shardable work, handed over as a ticket table.
+// RunTicket is called exactly once per ticket per ShardExecutor::RunTickets
+// call, from any worker, in any interleaving. A ticket must touch only state
+// its shard (or, for range kinds, its range: private lanes and its slice of
+// the per-entry arrays) owns, so the interleaving is race-free and the
+// producer's fixed-order reduction after the phase alone defines the result.
 class ShardTask {
  public:
   virtual ~ShardTask() = default;
-  virtual void RunShard(uint32_t shard) = 0;
-  // Tasks that split oversized shards override this; the default forwards
-  // whole-shard tickets so existing tasks work unchanged under RunTickets.
-  virtual void RunTicket(const ShardTicket& t) {
-    if (t.kind == ShardTicketKind::kWholeShard) {
-      RunShard(t.shard);
-    }
-  }
+  virtual void RunTicket(const ShardTicket& t) = 0;
 };
 
 }  // namespace cinder

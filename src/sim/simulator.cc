@@ -4,36 +4,8 @@
 
 namespace cinder {
 
-SimConfig SimConfig::Normalized() const {
-  SimConfig n = *this;
-  const ExecConfig defaults;
-  // A deprecated flat field set away from its default moves into `exec`
-  // unless the nested field was itself changed — then the nested value wins.
-  if (tap_workers != defaults.tap_workers && n.exec.tap_workers == defaults.tap_workers) {
-    n.exec.tap_workers = tap_workers;
-  }
-  if (decay_to_shard_root != defaults.decay_to_shard_root &&
-      n.exec.decay_to_shard_root == defaults.decay_to_shard_root) {
-    n.exec.decay_to_shard_root = decay_to_shard_root;
-  }
-  if (tap_split_threshold != defaults.tap_split_threshold &&
-      n.exec.tap_split_threshold == defaults.tap_split_threshold) {
-    n.exec.tap_split_threshold = tap_split_threshold;
-  }
-  if (tap_split_ranges != defaults.tap_split_ranges &&
-      n.exec.tap_split_ranges == defaults.tap_split_ranges) {
-    n.exec.tap_split_ranges = tap_split_ranges;
-  }
-  // Mirror back so legacy readers of the flat fields see effective values.
-  n.tap_workers = n.exec.tap_workers;
-  n.decay_to_shard_root = n.exec.decay_to_shard_root;
-  n.tap_split_threshold = n.exec.tap_split_threshold;
-  n.tap_split_ranges = n.exec.tap_split_ranges;
-  return n;
-}
-
 Simulator::Simulator(SimConfig config)
-    : config_(config.Normalized()),
+    : config_(config),
       battery_(config.model.battery_capacity),
       rng_(config.seed),
       radio_(&config_.model, &rng_),

@@ -92,18 +92,6 @@ struct SimConfig {
   // simulator owns (per-worker rings, record mask, spill).
   ExecConfig exec;
   TelemetryConfig telemetry;
-  // Deprecated flat aliases of the ExecConfig fields, kept so pre-ExecConfig
-  // callers compile and behave unchanged. Normalized() reconciles them: a
-  // flat field set away from its default is copied into `exec` unless the
-  // nested field was itself changed (the nested value wins), and the flat
-  // fields are then mirrored back so config() readers see effective values.
-  // New code should set `exec.*`.
-  int tap_workers = 0;
-  bool decay_to_shard_root = false;
-  uint32_t tap_split_threshold = 4096;
-  uint32_t tap_split_ranges = 8;
-  // The config the Simulator actually runs (alias reconciliation applied).
-  SimConfig Normalized() const;
 };
 
 class Simulator final : public PowerSource {
@@ -118,7 +106,7 @@ class Simulator final : public PowerSource {
   const SimConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }
   TapEngine& taps() { return *tap_engine_; }
-  // Null unless config.tap_workers >= 1.
+  // Null unless config.exec.tap_workers >= 1.
   ShardExecutor* shard_executor() { return shard_executor_.get(); }
   EnergyAwareScheduler& scheduler() { return *scheduler_; }
   // The simulator-owned trace domain (src/telemetry). Disabled unless

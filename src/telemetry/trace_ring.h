@@ -7,9 +7,9 @@
 //   - Exactly one thread writes a given ring during a batch (worker slot i
 //     owns ring i; the caller/main thread is slot 0).
 //   - The main thread drains rings only between batches, inside
-//     TraceDomain::FlushFrame — after ShardExecutor::Run has returned, whose
-//     mutex/cv handshake is the happens-before edge that publishes the
-//     workers' appends. TSAN agrees (the Telemetry suites run under it).
+//     TraceDomain::FlushFrame — after ShardExecutor::RunTickets has
+//     returned, whose mutex/cv handshake is the happens-before edge that
+//     publishes the workers' appends. TSAN agrees (the Telemetry suites run under it).
 //
 // When a ring fills before the next flush the oldest records are overwritten
 // (newest data wins — matching addb2's stance that telemetry must never

@@ -30,10 +30,43 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms (std::stable_sort's temporary buffer) and the aligned
+// forms (alignas(64) scratch vectors) must be replaced too: every allocation
+// has to be counted, and memory from a library operator new must never reach
+// the free() below — sanitizers report that as an alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace cinder {
 namespace {
@@ -325,8 +358,8 @@ TEST(HotPathAllocTest, TelemetryShardedSteadyStateIsAllocationFree) {
 }
 
 TEST(HotPathAllocTest, TelemetrySingleShardFastPathIsAllocationFree) {
-  // The tiny-batch fast path (one shard, no pool) with telemetry on: emit +
-  // flush per batch must stay store-only.
+  // The tiny one-shard batch (no pool: one whole-shard ticket run in the
+  // caller) with telemetry on: emit + flush per batch must stay store-only.
   Kernel k;
   Reserve* battery = k.Create<Reserve>(
       k.root_container_id(), Label(Level::k1), "battery");

@@ -21,6 +21,7 @@
 #include "src/core/tap_engine.h"
 #include "src/exec/shard_executor.h"
 #include "src/exec/shard_partitioner.h"
+#include "src/telemetry/trace_domain.h"
 
 namespace cinder {
 namespace {
@@ -231,6 +232,103 @@ TEST(ShardCutTest, HubAndChainSplitsTheStarAndCutsTheChain) {
     }
     EXPECT_TRUE(star_split);
     ExpectIdenticalState(uncut, cut, "workers=" + std::to_string(workers));
+  }
+}
+
+// The same mixed fleet plus small whole shards and a constrained chain:
+// every ticket kind runs in one engine — whole-shard tickets, a range-split
+// fan-out, a lane-settled cut chain, and a cut parent that takes the fused
+// fallback — and each shard's batch must still end through the one shared
+// finish: exactly one kShardBatch per shard per batch, whose sums are the
+// engine's tap and decay totals, with decay routed to shard roots.
+TEST(ShardCutTest, EveryTicketKindFinishesEachShardOnce) {
+  constexpr int kBatches = 300;
+  auto build = [](Rig& r) {
+    for (int p = 0; p < 3; ++p) {
+      Reserve* pool = r.NewReserve("pool" + std::to_string(p));
+      pool->Deposit(ToQuantity(Energy::Joules(200.0 + p)));
+      for (int i = 0; i < 2; ++i) {
+        Reserve* app = r.NewReserve("app" + std::to_string(p) + "_" + std::to_string(i));
+        r.NewTap(pool->id(), app->id(), "pt" + std::to_string(p) + "_" + std::to_string(i))
+            ->SetConstantPower(Power::Milliwatts(3 + i + p));
+      }
+    }
+    r.BuildStar(24);
+    r.BuildChain(48, /*charged=*/true);
+    r.BuildChain(40, /*charged=*/false);
+  };
+  Rig reference(nullptr, /*sharded=*/true);
+  reference.engine->decay().to_shard_root = true;
+  build(reference);
+  reference.RunBatches(kBatches);
+
+  for (int workers : {0, 1, 2, 4, 8}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    std::unique_ptr<ShardExecutor> exec;
+    if (workers > 0) {
+      exec = std::make_unique<ShardExecutor>(workers);
+    }
+    Rig rig(exec.get(), /*sharded=*/true, /*cut_threshold=*/16,
+            /*split_min=*/20, /*split_ranges=*/4);
+    rig.engine->decay().to_shard_root = true;
+    TelemetryConfig cfg;
+    cfg.enabled = true;
+    cfg.spill_grow = true;
+    TraceDomain domain(cfg);
+    rig.engine->set_telemetry(&domain);
+    build(rig);
+    rig.RunBatches(kBatches);
+
+    // The input really holds every shape.
+    const uint32_t shards = rig.engine->shard_count();
+    uint32_t split = 0;
+    uint32_t small = 0;
+    for (const auto& s : rig.engine->shard_stats()) {
+      split += s.ranges > 1 ? 1 : 0;
+      small += s.taps == 2 ? 1 : 0;
+    }
+    EXPECT_EQ(split, 1u) << label;
+    EXPECT_EQ(small, 3u) << label;
+    EXPECT_EQ(rig.engine->cut_parent_count(), 2u) << label;
+
+    std::vector<uint32_t> seen(shards, 0);
+    uint64_t frames = 0;
+    uint64_t bad_frames = 0;
+    uint64_t settles = 0;
+    uint64_t fused_settles = 0;
+    int64_t tap_sum = 0;
+    int64_t decay_sum = 0;
+    domain.ForEachSpilled([&](const TraceRecord& r) {
+      switch (static_cast<RecordKind>(r.kind)) {
+        case RecordKind::kFrameMark:
+          ++frames;
+          bad_frames += std::count(seen.begin(), seen.end(), 1u) == shards ? 0 : 1;
+          seen.assign(shards, 0);
+          break;
+        case RecordKind::kShardBatch:
+          ASSERT_LT(r.actor, shards);
+          ++seen[r.actor];
+          tap_sum += r.v0;
+          decay_sum += r.v1;
+          break;
+        case RecordKind::kBoundarySettle:
+          ++settles;
+          fused_settles += (r.flags & kBoundarySettleFused) != 0 ? 1 : 0;
+          break;
+        default:
+          break;
+      }
+    });
+    EXPECT_EQ(frames, static_cast<uint64_t>(kBatches)) << label;
+    EXPECT_EQ(bad_frames, 0u) << label << ": a frame without exactly one record per shard";
+    EXPECT_EQ(tap_sum, rig.engine->total_tap_flow()) << label;
+    EXPECT_EQ(decay_sum, rig.engine->total_decay_flow()) << label;
+    EXPECT_GT(decay_sum, 0) << label;
+    // One settlement per cut parent per batch: the constrained chain fused
+    // every time, the charged chain through its lanes every time.
+    EXPECT_EQ(settles, 2u * kBatches) << label;
+    EXPECT_EQ(fused_settles, static_cast<uint64_t>(kBatches)) << label;
+    ExpectIdenticalState(reference, rig, label);
   }
 }
 

@@ -150,16 +150,16 @@ TEST(SimulatorTest, BatteryReserveTracksBaseline) {
 }
 
 TEST(SimulatorTest, TapSplitConfigReachesEngineWithoutChangingResults) {
-  // SimConfig's split knobs must reach the tap engine — the battery fan-out
+  // ExecConfig's split knobs must reach the tap engine — the battery fan-out
   // below is one component, so a low threshold splits it — and, with demand
   // far under the battery level, split runs must stay bit-identical to the
   // unsharded serial engine.
   auto run = [](int workers, uint32_t threshold, uint32_t ranges) {
     SimConfig cfg;
     cfg.decay_enabled = false;
-    cfg.tap_workers = workers;
-    cfg.tap_split_threshold = threshold;
-    cfg.tap_split_ranges = ranges;
+    cfg.exec.tap_workers = workers;
+    cfg.exec.tap_split_threshold = threshold;
+    cfg.exec.tap_split_ranges = ranges;
     Simulator sim(cfg);
     Kernel& k = sim.kernel();
     Thread* boot = sim.boot_thread();

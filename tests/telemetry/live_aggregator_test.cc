@@ -191,8 +191,10 @@ TEST(LiveAggregatorTest, WorkerHistogramsTrackBusyAndIdleWindows) {
 TEST(LiveAggregatorTest, AttachResetsForFreshEpoch) {
   TelemetryConfig tcfg;
   tcfg.enabled = true;
-  TraceDomain domain(tcfg);
+  // Declared before the domain, whose destructor detaches every sink still
+  // attached: a sink must outlive the domain it is attached to.
   LiveAggregator agg;
+  TraceDomain domain(tcfg);
   agg.OnRecord(Rec(RecordKind::kShardBatch, 0, 999, 0));
   EXPECT_EQ(agg.TotalTapFlow(), 999);
   domain.AddSink(&agg);  // OnAttach resets all state.

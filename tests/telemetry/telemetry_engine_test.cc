@@ -229,8 +229,8 @@ TEST(TelemetryEngineTest, FineGrainedTapFlowsSumToEngineTotal) {
 }
 
 TEST(TelemetryEngineTest, SingleShardFastPathStillStreamsRecords) {
-  // One phone, no executor: RunBatch takes the tiny-batch fast path; the
-  // stream must stay complete and exact anyway.
+  // One phone, no executor: the unsharded engine's one whole-shard ticket,
+  // run in the caller. The stream must stay complete and exact anyway.
   SimConfig cfg;
   cfg.telemetry.enabled = true;
   cfg.telemetry.spill_grow = true;
@@ -406,52 +406,6 @@ TEST(TelemetryConfigTest, DisabledByDefaultAndInert) {
   EXPECT_EQ(sim.telemetry().frames_flushed(), 0u);
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
   EXPECT_TRUE(reader.records().empty());
-}
-
-TEST(TelemetryConfigTest, FlatExecAliasesNormalizeIntoNestedConfig) {
-  // Old flat names still steer the nested ExecConfig.
-  SimConfig flat;
-  flat.tap_workers = 3;
-  flat.decay_to_shard_root = true;
-  flat.tap_split_threshold = 128;
-  flat.tap_split_ranges = 4;
-  SimConfig n = flat.Normalized();
-  EXPECT_EQ(n.exec.tap_workers, 3);
-  EXPECT_TRUE(n.exec.decay_to_shard_root);
-  EXPECT_EQ(n.exec.tap_split_threshold, 128u);
-  EXPECT_EQ(n.exec.tap_split_ranges, 4u);
-
-  // The nested field wins when both were set.
-  SimConfig both;
-  both.tap_workers = 3;
-  both.exec.tap_workers = 5;
-  n = both.Normalized();
-  EXPECT_EQ(n.exec.tap_workers, 5);
-  EXPECT_EQ(n.tap_workers, 5);  // Flat mirror shows the effective value.
-
-  // Defaults stay defaults.
-  n = SimConfig{}.Normalized();
-  EXPECT_EQ(n.exec.tap_workers, 0);
-  EXPECT_FALSE(n.exec.decay_to_shard_root);
-  EXPECT_EQ(n.exec.tap_split_threshold, 4096u);
-  EXPECT_EQ(n.exec.tap_split_ranges, 8u);
-}
-
-TEST(TelemetryConfigTest, FlatAliasesDriveTheLiveSimulator) {
-  // End to end: a pre-ExecConfig caller using only flat fields still gets a
-  // sharded pool, and config() readers see the reconciled values both ways.
-  SimConfig cfg;
-  cfg.tap_workers = 2;
-  cfg.decay_to_shard_root = true;
-  Simulator sim(cfg);
-  EXPECT_NE(sim.shard_executor(), nullptr);
-  EXPECT_EQ(sim.config().exec.tap_workers, 2);
-  EXPECT_EQ(sim.config().tap_workers, 2);
-  EXPECT_TRUE(sim.config().exec.decay_to_shard_root);
-  BuildPhones(sim, 3);
-  sim.Run(Duration::Millis(200));
-  EXPECT_EQ(sim.taps().shard_count(), 3u);
-  EXPECT_GT(sim.taps().total_tap_flow(), 0);
 }
 
 }  // namespace
