@@ -208,6 +208,55 @@ BENCHMARK(BM_TapBatchSharded)
     ->Args({32768, 2})
     ->Args({32768, 4});
 
+// The fleet's exact shape (examples/fleet, the end-to-end fleet_steady
+// workload): `phones` components of pool/fg/bg with three taps each — a
+// constant feed, a proportional feed and a proportional back-tap — decay on
+// with a 2-minute half-life, leakage routed to each phone's pool. arg1 is
+// the worker count (1 = the caller alone). Thousands of tiny shards make
+// per-shard fixed costs (dispatch, records, sink settlement) the whole
+// story, which is what work-unit packing removes.
+void BM_TapBatchFleet(benchmark::State& state) {
+  const int phones = static_cast<int>(state.range(0));
+  const int workers = static_cast<int>(state.range(1));
+  Kernel k;
+  Reserve* battery = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "battery");
+  battery->set_decay_exempt(true);
+  TapEngine engine(&k, battery->id());
+  engine.decay().enabled = true;
+  engine.decay().half_life = Duration::Minutes(2);
+  engine.decay().to_shard_root = true;
+  ShardExecutor exec(workers);
+  engine.EnableSharding(&exec);
+  for (int p = 0; p < phones; ++p) {
+    Reserve* pool = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "pool");
+    pool->Deposit(ToQuantity(Energy::Joules(200.0 + (p % 7) * 25.0)));
+    Reserve* fg = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "fg");
+    Reserve* bg = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "bg");
+    Tap* feed_fg =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "feed_fg", pool->id(), fg->id());
+    feed_fg->SetConstantPower(Power::Milliwatts(200 + (p % 5) * 60));
+    Tap* feed_bg =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "feed_bg", pool->id(), bg->id());
+    feed_bg->SetProportionalRate(0.002 + 0.0005 * (p % 4));
+    Tap* back =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "back", fg->id(), pool->id());
+    back->SetProportionalRate(0.1);
+    engine.Register(feed_fg->id());
+    engine.Register(feed_bg->id());
+    engine.Register(back->id());
+  }
+  for (auto _ : state) {
+    engine.RunBatch(Duration::Millis(10));
+  }
+  state.SetItemsProcessed(state.iterations() * phones * 3);
+}
+BENCHMARK(BM_TapBatchFleet)
+    ->ArgNames({"phones", "workers"})
+    ->Args({1000, 1})
+    ->Args({1000, 4})
+    ->Args({20000, 1})
+    ->Args({20000, 4});
+
 // The intra-shard range split on a giant single component: one pool fans out
 // to `n_taps` sinks, so shard-level parallelism has exactly one shard to
 // offer and all scaling must come from splitting its plan into ranges.
@@ -299,6 +348,12 @@ BENCHMARK(BM_TapBatchChain)
     ->Args({8192, 1})
     ->Args({8192, 4});
 
+// A one-shard decay-only batch: `n_reserves` charged reserves, no taps.
+// Near-infinite half-life, as in BM_DecaySparse: every reserve still leaks
+// ~1 unit per batch (the full carry/withdraw path runs), but none drains
+// within any benchmark run. At the default 10-minute half-life the reserves
+// were empty after ~1.8M batches, so the mean mostly timed an empty engine
+// and moved with the iteration count.
 void BM_TapBatchWithDecay(benchmark::State& state) {
   const int n_reserves = static_cast<int>(state.range(0));
   Kernel k;
@@ -307,6 +362,7 @@ void BM_TapBatchWithDecay(benchmark::State& state) {
   battery->Deposit(INT64_MAX / 2);
   TapEngine engine(&k, battery->id());
   engine.decay().enabled = true;
+  engine.decay().half_life = Duration::Minutes(100000);
   for (int i = 0; i < n_reserves; ++i) {
     Reserve* r = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "r");
     r->Deposit(1000000000);

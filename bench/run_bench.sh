@@ -12,9 +12,10 @@
 # (BM_TapBatch/512, BM_TapBatch/32768, BM_TapBatchTelemetry/32768,
 # BM_DecaySparse/{4096,32768}, the giant-component worker-scaling cases
 # BM_TapBatchGiant/taps:32768 at 1/2/4 workers, the chain-cutting cases
-# BM_TapBatchChain/depth:{1024,8192} at 1/4 workers, and the scheduler-plan
-# cases BM_SchedPick/128 + BM_SimStepBatched/K:{1,16,64}) regressed by more
-# than 20% — the cross-PR CI gate.
+# BM_TapBatchChain/depth:{1024,8192} at 1/4 workers, the 20k-phone fleet
+# BM_TapBatchFleet/phones:20000 at 1/4 workers, and the scheduler-plan cases
+# BM_SchedPick/128 + BM_SimStepBatched/K:{1,16,64}) regressed by more than
+# 20% — the cross-PR CI gate.
 #
 # Independent of --compare, every run whose filter covers both tap-batch
 # benchmarks also runs the paired telemetry-overhead probe
@@ -111,6 +112,8 @@ if [[ -n "$baseline" ]]; then
     --gate 'BM_TapBatchChain/depth:1024/workers:4' \
     --gate 'BM_TapBatchChain/depth:8192/workers:1' \
     --gate 'BM_TapBatchChain/depth:8192/workers:4' \
+    --gate 'BM_TapBatchFleet/phones:20000/workers:1' \
+    --gate 'BM_TapBatchFleet/phones:20000/workers:4' \
     --gate 'BM_SchedPick/128' \
     --gate 'BM_SimStepBatched/K:1' \
     --gate 'BM_SimStepBatched/K:16' \

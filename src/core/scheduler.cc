@@ -276,14 +276,38 @@ void EnergyAwareScheduler::InvalidatePlan() {
   plan_pos_ = 0;
 }
 
+uint32_t* EnergyAwareScheduler::BoundSlotFor(const Quantity* cell) {
+  // Linear probing from the cell's address. Cells are 8-byte slots, mostly
+  // consecutive in the reserve bank, so the bits above the alignment spread
+  // them evenly over the table.
+  const size_t mask = bound_slots_.size() - 1;
+  size_t h = (reinterpret_cast<uintptr_t>(cell) >> 3) & mask;
+  while (bound_slots_[h] != 0 && plan_bounds_[bound_slots_[h] - 1].cell != cell) {
+    h = (h + 1) & mask;
+  }
+  return &bound_slots_[h];
+}
+
 uint32_t EnergyAwareScheduler::BoundIndexFor(Quantity* cell) {
-  for (size_t b = 0; b < plan_bounds_.size(); ++b) {
-    if (plan_bounds_[b].cell == cell) {
-      return static_cast<uint32_t>(b);
-    }
+  // Bound indices are handed out in first-request order; the index turns
+  // the search for an existing bound into one probe instead of a scan of
+  // every bound so far (quadratic in the scanned threads).
+  uint32_t* slot = BoundSlotFor(cell);
+  if (*slot != 0) {
+    return *slot - 1;
   }
   plan_bounds_.push_back(CellBound{cell, *cell, *cell});
-  return static_cast<uint32_t>(plan_bounds_.size() - 1);
+  const auto b = static_cast<uint32_t>(plan_bounds_.size());
+  if (2 * b <= bound_slots_.size()) {
+    *slot = b;
+    return b - 1;
+  }
+  // Past half full: double the table and re-index every bound.
+  bound_slots_.assign(bound_slots_.size() * 2, 0);
+  for (uint32_t i = 0; i < b; ++i) {
+    *BoundSlotFor(plan_bounds_[i].cell) = i + 1;
+  }
+  return b - 1;
 }
 
 size_t EnergyAwareScheduler::BuildPlan(SimTime now, const SchedPlanParams& p) {
@@ -300,6 +324,7 @@ size_t EnergyAwareScheduler::BuildPlan(SimTime now, const SchedPlanParams& p) {
   scan_members_.clear();
   plan_bounds_.clear();
   member_bounds_.clear();
+  bound_slots_.assign(std::max<size_t>(bound_slots_.size(), 64), 0);
 
   // Pass 1: classify every thread once. Runnable threads and already-due
   // sleepers join the scan set (in index order, so the circular walk below

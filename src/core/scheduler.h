@@ -192,6 +192,9 @@ class EnergyAwareScheduler : public KernelObserver {
     bool eligible = false;
   };
   uint32_t BoundIndexFor(Quantity* cell);
+  // The bound_slots_ entry holding `cell`'s bound, or the empty one where it
+  // belongs.
+  uint32_t* BoundSlotFor(const Quantity* cell);
 
   Kernel* kernel_;
   TraceDomain* telemetry_ = nullptr;
@@ -216,6 +219,9 @@ class EnergyAwareScheduler : public KernelObserver {
   std::vector<ScanMember> scan_members_;
   std::vector<CellBound> plan_bounds_;
   std::vector<uint32_t> member_bounds_;
+  // Open-addressed index over plan_bounds_ by cell address: bound index + 1,
+  // 0 = empty; a power of two, kept at most half full.
+  std::vector<uint32_t> bound_slots_;
 };
 
 }  // namespace cinder

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <tuple>
 #include <unordered_map>
 
@@ -398,13 +397,6 @@ void TapEngine::RebuildPlan() {
     stats_[s].taps = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
     stats_[s].decay_reserves = assigned[s];
   }
-  // Largest shards first: the executor starts the big components immediately
-  // so one giant shard never serializes the tail of a batch. Stable on tap
-  // count, so the order (and everything else) is deterministic.
-  shard_order_.resize(num_shards_);
-  std::iota(shard_order_.begin(), shard_order_.end(), 0u);
-  std::stable_sort(shard_order_.begin(), shard_order_.end(),
-                   [this](uint32_t a, uint32_t b) { return stats_[a].taps > stats_[b].taps; });
 
   BuildCutPlan();
   BuildSplitPlan();
@@ -569,22 +561,60 @@ void TapEngine::BuildSplitPlan() {
 }
 
 void TapEngine::BuildTicketTables() {
-  // Ticket tables. Pass 1 covers every shard — range tickets for split
-  // shards, whole-sub-shard kCutPass1 tickets for cut members, one
-  // whole-shard ticket otherwise — in the largest-first shard order; pass 2
-  // is the split shards' ranges plus the cut members' kCutPass2 tickets.
-  // Empty tail ranges (entries < k) get no tickets.
+  // Work items, in shard-index order first: a split shard or a cut member is
+  // an item of its own; every other shard joins the open work unit, a run of
+  // consecutive whole shards — hence one contiguous plan range — closed once
+  // its weight reaches kUnitWeight. A shard that alone reaches it, or a split
+  // or cut shard between two whole ones, closes the open unit first.
+  std::vector<WorkItem>& items = work_items_;
+  items.clear();
+  WorkItem open{0, 0, 0};
+  auto close_open = [&] {
+    if (open.end > open.begin) {
+      items.push_back(open);
+    }
+    open = WorkItem{0, 0, 0};
+  };
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    const uint32_t w = shard_weight(s);
+    if (split_of_shard_[s] != kNoSplit || shard_cut_parent_[s] != kNoCut || w >= kUnitWeight) {
+      close_open();
+      items.push_back(WorkItem{w, s, s + 1});
+      continue;
+    }
+    if (open.end == open.begin) {
+      open.begin = s;
+    }
+    open.end = s + 1;
+    open.weight += w;
+    if (open.weight >= kUnitWeight) {
+      close_open();
+    }
+  }
+  close_open();
+  // Heaviest first: the executor starts the big items immediately so one
+  // giant shard never serializes the tail of a batch. Stable, so the order
+  // (and everything else) is deterministic.
+  std::stable_sort(items.begin(), items.end(),
+                   [](const WorkItem& a, const WorkItem& b) { return a.weight > b.weight; });
+
+  // Ticket tables, in that item order. Pass 1 covers every shard — one
+  // kWholeShard ticket per work unit, range tickets for split shards,
+  // whole-sub-shard kCutPass1 tickets for cut members; pass 2 is the split
+  // shards' ranges plus the cut members' kCutPass2 tickets. Empty tail
+  // ranges (entries < k) get no tickets.
   tickets_pass1_.clear();
   tickets_pass2_.clear();
   const uint32_t k = split_k_;
-  for (const uint32_t s : shard_order_) {
+  for (const WorkItem& item : items) {
+    const uint32_t s = item.begin;
     const uint32_t u = split_of_shard_[s];
     if (u == kNoSplit) {
       if (shard_cut_parent_[s] != kNoCut) {
         tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass1});
         tickets_pass2_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass2});
       } else {
-        tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kWholeShard});
+        tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kWholeShard, item.end});
       }
       continue;
     }
@@ -832,11 +862,19 @@ void TapEngine::EmitPlanRecords() {
   }
 }
 
-void TapEngine::DepositToSink(Reserve* sink, Quantity amount) {
-  sink->Deposit(amount);
-  if (telem_reserve_ops_) {
-    telem_->Emit(RecordKind::kReserveDeposit, static_cast<uint32_t>(sink->id()), 0,
-                 kReserveOpDecayLeak, amount, sink->level());
+void TapEngine::DepositToSink(Reserve* sink, Quantity amount, TraceRing* ring) {
+  // Reserve::Deposit on the bank arrays, minus its reserve-op epoch bump: a
+  // leak deposit implies decay flow, so RunBatch's one NoteReserveOp covers
+  // it. The sink is attached (every reserve is, while a plan is live), and
+  // when it is decay-wired its list is the one the sink's own shard runs.
+  const uint32_t slot = sink->bank_slot();
+  Quantity* const lvl = rbank_.levels();
+  if (DepositRelists(lvl, rbank_.deposited(), rbank_.flags(), slot, amount)) {
+    decay_active_[sink->decay_shard()].push_back(slot);
+  }
+  if (ring != nullptr) {
+    ring->Emit(telem_->time_us(), RecordKind::kReserveDeposit, static_cast<uint32_t>(sink->id()),
+               0, kReserveOpDecayLeak, amount, lvl[slot]);
   }
 }
 
@@ -871,19 +909,26 @@ void TapEngine::RunBatch(Duration dt) {
   telem_boundary_ = (tmask & RecordBit(RecordKind::kBoundarySettle)) != 0;
   // Degenerate-dispatch fast path: waking the pool costs two notify/wait
   // handshakes per phase, pure loss unless at least two busy work items can
-  // overlap. Count runnable items (a shard with plan entries or a non-empty
-  // decay list; a split shard counts its ranges) and short-circuit at two —
-  // a busy fleet exits this scan after a couple of shards, while a
-  // single-small-shard epoch (BM_TapBatchWithDecay-sized) runs serially with
-  // no executor round-trip at all. Results never depend on the choice.
+  // overlap. Count runnable pass-1 tickets (a work unit or cut member with a
+  // shard that has plan entries or a non-empty decay list; every range) and
+  // short-circuit at two — a busy fleet exits this scan after a couple of
+  // tickets, while a small fleet packed into one unit, or a single shard
+  // (BM_TapBatchWithDecay-sized), runs serially with no executor round-trip
+  // at all. Results never depend on the choice.
   bool use_pool = executor_ != nullptr && executor_->workers() > 1;
   if (use_pool) {
     uint32_t busy = 0;
-    for (uint32_t s = 0; s < num_shards_ && busy < 2; ++s) {
-      if (stats_[s].taps == 0 && decay_active_[s].empty()) {
-        continue;
+    for (const ShardTicket& t : tickets_pass1_) {
+      const uint32_t end = t.kind == ShardTicketKind::kWholeShard ? t.shard_end : t.shard + 1;
+      for (uint32_t s = t.shard; s < end; ++s) {
+        if (stats_[s].taps != 0 || !decay_active_[s].empty()) {
+          ++busy;
+          break;
+        }
       }
-      busy += split_of_shard_[s] == kNoSplit ? 1 : stats_[s].ranges;
+      if (busy >= 2) {
+        break;
+      }
     }
     use_pool = busy >= 2;
   }
@@ -919,12 +964,14 @@ void TapEngine::RunBatch(Duration dt) {
     }
   }
   // Deterministic merge, in shard order: engine totals, per-shard stats, and
-  // the decay leakage each shard banked for its sink (the battery root, or
-  // the shard root when decay_to_shard_root is on). Deferring the deposits
-  // here is what keeps the sink's shard race-free — and it exactly matches
-  // the unsharded engine, where every tap reads the battery before the decay
-  // pass touches it.
+  // the decay leakage each shard banked for a sink it does not own — the
+  // battery root, or a cut component's shared sink under
+  // decay_to_shard_root (a whole or split shard already settled into its own
+  // sink in FinishShard). Deferring these deposits here is what keeps the
+  // sink's shard race-free — and it exactly matches the unsharded engine,
+  // where every tap reads the battery before the decay pass touches it.
   Reserve* battery = battery_cache_;
+  TraceRing* const ring = telem_reserve_ops_ ? WorkerRing() : nullptr;
   Quantity tap_flow = 0;
   Quantity decay_flow = 0;
   for (uint32_t s = 0; s < num_shards_; ++s) {
@@ -939,11 +986,11 @@ void TapEngine::RunBatch(Duration dt) {
         sink = battery;
       }
       if (sink != nullptr) {
-        DepositToSink(sink, sc.decay_leak);
+        DepositToSink(sink, sc.decay_leak, ring);
       }
     }
     if (sc.decay_stray > 0 && battery != nullptr) {
-      DepositToSink(battery, sc.decay_stray);
+      DepositToSink(battery, sc.decay_stray, ring);
     }
   }
   total_tap_flow_ += tap_flow;
@@ -957,8 +1004,8 @@ void TapEngine::RunBatch(Duration dt) {
   // through Reserve's named mutators, so the scheduler's run plan would not
   // see the movement. A batch that moved tap or decay flow is an out-of-band
   // level mutation and bumps the kernel reserve-op epoch; an all-idle batch
-  // leaves plans alive across the boundary. (Sink leak deposits go through
-  // Reserve::Deposit and bump on their own.)
+  // leaves plans alive across the boundary. Sink leak deposits are covered
+  // too: a leak is part of the decay flow.
   if (tap_flow != 0 || decay_flow != 0) {
     kernel_->NoteReserveOp();
   }
@@ -977,7 +1024,7 @@ void TapEngine::Dispatch(const std::vector<ShardTicket>& tickets, bool use_pool)
 void TapEngine::RunTicket(const ShardTicket& t) {
   switch (t.kind) {
     case ShardTicketKind::kWholeShard:
-      RunWholeShard(t.shard);
+      RunUnit(t.shard, t.shard_end);
       break;
     case ShardTicketKind::kPass1Range:
       RunPass1Range(t.split, t.range);
@@ -994,30 +1041,40 @@ void TapEngine::RunTicket(const ShardTicket& t) {
   }
 }
 
-inline void TapEngine::RunWholeShard(uint32_t shard) {
-  // Two passes. Pass 1 computes each tap's demand for this batch; pass 2
-  // executes transfers in id (creation) order, giving taps that contend for
-  // the same constrained source a proportional share of whatever is
-  // available when they flow (e.g. two applications drawing from the shared
-  // 14 mW background reserve of Figure 7 each receive ~7 mW instead of the
-  // oldest tap winning every batch). Deposits made by earlier taps in the
-  // same batch are visible to later ones, so feed taps created before their
-  // consumers pipeline within a single batch. Fully deterministic.
-  const int64_t t0 = telem_shard_timing_ ? NowNs() : kUntimed;
-  const uint32_t begin = shard_plan_begin_[shard];
-  const uint32_t end = shard_plan_begin_[shard + 1];
-  Quantity flow = 0;
-  // A shard without taps (a decay-only engine, a stray shard) has no passes
-  // to run; their setup alone would cost more than its decay slice. Pass 1
-  // is spelled out here rather than called through RunShardPass1: the extra
-  // call made a one-tap batch (BM_TapBatch/1) up to 30% slower.
-  if (begin < end) {
-    std::fill(group_base_ + shard_group_begin_[shard],
-              group_base_ + shard_group_begin_[shard + 1], 0.0);
-    DemandPass(shard, begin, end, group_base_, plan_group_.data());
-    flow = TransferPass<false, false>(shard, begin, end);
+inline void TapEngine::RunUnit(uint32_t first, uint32_t last) {
+  // Per shard, two passes. Pass 1 computes each tap's demand for this batch;
+  // pass 2 executes transfers in id (creation) order, giving taps that
+  // contend for the same constrained source a proportional share of whatever
+  // is available when they flow (e.g. two applications drawing from the
+  // shared 14 mW background reserve of Figure 7 each receive ~7 mW instead
+  // of the oldest tap winning every batch). Deposits made by earlier taps in
+  // the same batch are visible to later ones, so feed taps created before
+  // their consumers pipeline within a single batch. Fully deterministic. The
+  // unit's shards share nothing, so running them back to back in index
+  // order is the whole-shard loop itself.
+  const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
+  TraceRing* const ring = telem_on_ ? WorkerRing() : nullptr;
+  uint32_t shard = first;  // A unit is never empty.
+  do {
+    const uint32_t begin = shard_plan_begin_[shard];
+    const uint32_t end = shard_plan_begin_[shard + 1];
+    Quantity flow = 0;
+    // A shard without taps (a decay-only engine, a stray shard) has no
+    // passes to run; their setup alone would cost more than its decay
+    // slice. Pass 1 is spelled out here rather than called through
+    // RunShardPass1: the extra call made a one-tap batch (BM_TapBatch/1) up
+    // to 30% slower.
+    if (begin < end) {
+      std::fill(group_base_ + shard_group_begin_[shard],
+                group_base_ + shard_group_begin_[shard + 1], 0.0);
+      DemandPass(shard, begin, end, group_base_, plan_group_.data());
+      flow = TransferPass<false, false>(shard, begin, end);
+    }
+    FinishShard(shard, flow, ring);
+  } while (++shard < last);
+  if (telem_shard_timing_) {
+    EmitShardTiming(first, last - first, t0);
   }
-  FinishShard(shard, flow, t0);
 }
 
 void TapEngine::RunShardPass1(uint32_t shard) {
@@ -1119,30 +1176,37 @@ bool TapEngine::GroupFits(uint32_t group, const Quantity* lvl) const {
   return total == 0.0 || (level > 0 && total <= static_cast<double>(level) * (1.0 - 1e-6));
 }
 
-inline void TapEngine::FinishShard(uint32_t shard, Quantity tap_flow, int64_t t0) {
+inline void TapEngine::FinishShard(uint32_t shard, Quantity tap_flow, TraceRing* ring) {
   const DecayResult dr = decay_.enabled ? DecayShard(shard) : DecayResult{};
-  scratch_[shard] = ShardScratch{tap_flow, dr.leak, dr.flow, dr.stray};
-  EmitShardRecords(shard, /*batch=*/true, t0);
+  // In-unit sink settlement (decay_to_shard_root): the sink is this shard's
+  // smallest-id energy reserve and nothing else touches it during the batch,
+  // so depositing here, right after the shard's decay slice, is exactly the
+  // merge's deposit moved earlier — integer adds in the same order per sink.
+  // A cut member's sink is shared by its parent's members; the merge settles
+  // it.
+  Reserve* const sink = decay_to_root_ && dr.leak > 0 && shard_cut_parent_[shard] == kNoCut
+                            ? shard_sink_[shard]
+                            : nullptr;
+  scratch_[shard] = ShardScratch{tap_flow, sink != nullptr ? 0 : dr.leak, dr.flow, dr.stray};
+  if (ring != nullptr && telem_shard_batch_) {
+    ring->Emit(telem_->time_us(), RecordKind::kShardBatch, shard, 0, 0, tap_flow, dr.flow);
+  }
+  if (sink != nullptr) {
+    DepositToSink(sink, dr.leak, telem_reserve_ops_ ? ring : nullptr);
+  }
 }
 
-inline void TapEngine::EmitShardRecords(uint32_t shard, bool batch, int64_t t0) {
-  batch = batch && telem_shard_batch_;
-  if (!batch && t0 == kUntimed) {
-    return;
-  }
+TraceRing* TapEngine::WorkerRing() const {
   // This worker's own ring (single-writer); null when the domain has no ring
   // for the slot — then the records are skipped, never misfiled.
+  return telem_on_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
+}
+
+void TapEngine::EmitShardTiming(uint32_t first, uint32_t shards, int64_t t0) {
   const uint32_t slot = ShardExecutor::current_worker_slot();
   if (TraceRing* ring = telem_->ring(slot)) {
-    const int64_t now = telem_->time_us();
-    if (batch) {
-      const ShardScratch& sc = scratch_[shard];
-      ring->Emit(now, RecordKind::kShardBatch, shard, 0, 0, sc.tap_flow, sc.decay_flow);
-    }
-    if (t0 != kUntimed) {
-      ring->Emit(now, RecordKind::kShardTiming, shard, static_cast<uint16_t>(slot), 0,
-                 NowNs() - t0, 0);
-    }
+    ring->Emit(telem_->time_us(), RecordKind::kShardTiming, first, static_cast<uint16_t>(slot), 0,
+               NowNs() - t0, shards);
   }
 }
 
@@ -1318,7 +1382,7 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
   }
   // Split shards' per-range work is covered by kRangeTiming; the batch record
   // itself is written here, on the (serial) finalize thread.
-  FinishShard(shard, flow, kUntimed);
+  FinishShard(shard, flow, WorkerRing());
 }
 
 void TapEngine::ClassifyCutParents() {
@@ -1349,7 +1413,7 @@ void TapEngine::ClassifyCutParents() {
 }
 
 void TapEngine::RunCutPass2(uint32_t shard) {
-  const int64_t t0 = telem_shard_timing_ ? NowNs() : kUntimed;
+  const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
   if (parent_fused_[shard_cut_parent_[shard]] != 0) {
     // A cut destination in this parent was constrained: the serial fused
     // fallback replays the whole parent's pass 2 at settlement instead,
@@ -1367,7 +1431,9 @@ void TapEngine::RunCutPass2(uint32_t shard) {
   // owned by this sub-shard.
   scratch_[shard].tap_flow =
       TransferPass<false, true>(shard, shard_plan_begin_[shard], shard_plan_begin_[shard + 1]);
-  EmitShardRecords(shard, /*batch=*/false, t0);
+  if (telem_shard_timing_) {
+    EmitShardTiming(shard, 1, t0);
+  }
 }
 
 void TapEngine::RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* applied) {
@@ -1425,6 +1491,7 @@ void TapEngine::SettleCutParents() {
   Quantity* const dep = rbank_.deposited();
   uint8_t* const rflags = rbank_.flags();
   const Quantity* const lanes = boundary_.amounts();
+  TraceRing* const ring = WorkerRing();
   const auto np = static_cast<uint32_t>(cut_parents_.size());
   for (uint32_t p = 0; p < np; ++p) {
     Quantity settled = 0;
@@ -1448,14 +1515,12 @@ void TapEngine::SettleCutParents() {
     // Cut members time pass 2 only (their kShardTiming comes from the
     // kCutPass2 ticket); the batch record is written here.
     for (uint32_t j = parent_shard_begin_[p]; j < parent_shard_begin_[p + 1]; ++j) {
-      FinishShard(parent_shards_[j], scratch_[parent_shards_[j]].tap_flow, kUntimed);
+      FinishShard(parent_shards_[j], scratch_[parent_shards_[j]].tap_flow, ring);
     }
-    if (telem_boundary_) {
-      if (TraceRing* ring = telem_->ring(ShardExecutor::current_worker_slot())) {
-        ring->Emit(telem_->time_us(), RecordKind::kBoundarySettle, cut_parents_[p],
-                   static_cast<uint16_t>(parent_shard_begin_[p + 1] - parent_shard_begin_[p]),
-                   parent_fused_[p] != 0 ? kBoundarySettleFused : 0, settled, applied);
-      }
+    if (telem_boundary_ && ring != nullptr) {
+      ring->Emit(telem_->time_us(), RecordKind::kBoundarySettle, cut_parents_[p],
+                 static_cast<uint16_t>(parent_shard_begin_[p + 1] - parent_shard_begin_[p]),
+                 parent_fused_[p] != 0 ? kBoundarySettleFused : 0, settled, applied);
     }
   }
 }

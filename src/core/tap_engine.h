@@ -13,11 +13,15 @@
 // connect, so the connected components of the reserve/tap graph are
 // independent within a batch. With sharding enabled the cached flow plan is
 // laid out shard-major and each shard runs its two tap passes plus its decay
-// slice as one work item — serially, or on a ShardExecutor worker pool
-// (largest shards first, so one giant component never serializes the tail of
+// slice back to back. Consecutive small shards are packed into work units —
+// contiguous plan ranges of whole shards, about kUnitWeight entries each — so
+// a fleet of thousands of tiny components costs a few hundred work items,
+// not one per component. Units run serially, or on a ShardExecutor worker
+// pool (heaviest first, so one giant component never serializes the tail of
 // a batch). Cross-shard state (flow totals, decay leakage into the battery
-// root or the per-shard sinks) is accumulated per shard and merged after the
-// batch in shard order, so results are bit-identical to the unsharded engine
+// root or a cut component's shared sink) is accumulated per shard and merged
+// after the batch in shard order; a shard's leakage into its own sink is
+// settled inside its unit. Results are bit-identical to the unsharded engine
 // regardless of worker count.
 //
 // One batch pipeline serves every mode (unsharded, sharded, range-split, cut):
@@ -55,6 +59,7 @@ namespace cinder {
 class ShardExecutor;
 class ShardPartitioner;
 class TraceDomain;
+class TraceRing;
 
 // Intra-shard range split: a component whose plan section has at least
 // `min_entries` entries (or whose partitioner-reported edge count reaches it)
@@ -152,10 +157,21 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
     Quantity decay_flow = 0;
   };
   const std::vector<ShardStats>& shard_stats() const { return stats_; }
-  // The order work items are handed to the executor: shard indices sorted by
-  // tap count, largest first, so a giant component starts immediately instead
-  // of serializing the tail of the batch. Results never depend on it.
-  const std::vector<uint32_t>& shard_run_order() const { return shard_order_; }
+  // Work-unit packing: consecutive shards that are neither range-split nor
+  // cut members join one unit until its weight (plan entries plus decay-list
+  // reserves) reaches this; a shard at or above it is a unit of its own.
+  // Unit sizes from 256 to 4,096 measured the same on the 20k-phone fleet
+  // (docs/PERFORMANCE.md, "Work units").
+  static constexpr uint32_t kUnitWeight = 1024;
+  // A shard's packing weight: its plan entries plus its decay-list reserves.
+  uint32_t shard_weight(uint32_t shard) const {
+    return stats_[shard].taps + stats_[shard].decay_reserves;
+  }
+  // The pass-1 ticket table in the order it is handed to the executor: work
+  // units (kWholeShard, shards [shard, shard_end)), split shards' ranges and
+  // cut members, heaviest first, so a giant component starts immediately
+  // instead of serializing the tail of the batch. Results never depend on it.
+  const std::vector<ShardTicket>& pass1_tickets() const { return tickets_pass1_; }
 
   // The partitioner (sharded mode only; null otherwise) — exposes
   // PartitionStats and the cut layout for tools and tests.
@@ -282,10 +298,11 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // every re-snapshot and from the destructor.
   void WriteBackBank();
   // -- The batch steps, each written once ---------------------------------------
-  // A kWholeShard ticket: pass 1, pass 2, and the shard's finish.
-  void RunWholeShard(uint32_t shard);
+  // A kWholeShard ticket: for each shard of the unit in index order, pass 1,
+  // pass 2 and the shard's finish; then the unit's one kShardTiming record.
+  void RunUnit(uint32_t first, uint32_t last);
   // A cut member's pass 1 (kCutPass1): zeroes the shard's group_base_ slice
-  // and accumulates its demand there. RunWholeShard does the same inline.
+  // and accumulates its demand there. RunUnit does the same inline.
   void RunShardPass1(uint32_t shard);
   // The pass-1 loop over plan entries [begin, end) of `shard`: each enabled
   // tap's want goes to want_ and is added to demand[slot_of[i]] — the
@@ -304,24 +321,29 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // scale == 1 and no clamp for each of its entries in any execution order.
   bool GroupFits(uint32_t group, const Quantity* lvl) const;
   // The end of one shard's batch: the decay slice, the shard's whole scratch
-  // (tap_flow is the flow its tap passes moved), then its kShardBatch record
-  // and, when t0 != kUntimed, its kShardTiming record.
-  static constexpr int64_t kUntimed = -1;
-  void FinishShard(uint32_t shard, Quantity tap_flow, int64_t t0);
+  // (tap_flow is the flow its tap passes moved), its kShardBatch record, and
+  // — with decay_to_shard_root, unless the shard is a cut member — the
+  // deposit of its leakage into its own sink. `ring` is the calling worker's
+  // ring (null: no records).
+  void FinishShard(uint32_t shard, Quantity tap_flow, TraceRing* ring);
   struct DecayResult {
     Quantity flow = 0;
     Quantity leak = 0;   // flow minus stray: banked for the battery root / shard sink.
     Quantity stray = 0;  // Stray reserves' leakage: always the battery.
   };
   DecayResult DecayShard(uint32_t shard);
-  // Telemetry: the per-shard records (kShardBatch when `batch`, kShardTiming
-  // since t0 unless kUntimed) and the split ranges' kRangeTiming, into the
-  // calling worker's ring; the rebuild-time plan table dump (spill-direct).
-  void EmitShardRecords(uint32_t shard, bool batch, int64_t t0);
+  // Telemetry: the calling worker's ring (null when telemetry is off or the
+  // slot has none); one kShardTiming record for `shards` shards from `first`,
+  // timed since t0; the split ranges' kRangeTiming; the rebuild-time plan
+  // table dump (spill-direct).
+  TraceRing* WorkerRing() const;
+  void EmitShardTiming(uint32_t first, uint32_t shards, int64_t t0);
   void EmitRangeTiming(uint32_t shard, uint32_t range, uint8_t pass, int64_t t0);
   void EmitPlanRecords();
-  // The merge's sink settlement: one leak deposit plus its record.
-  void DepositToSink(Reserve* sink, Quantity amount);
+  // A sink settlement: one leak deposit through the bank (with the decay
+  // re-add when it refills the sink) plus its kReserveDeposit record into
+  // `ring` when reserve ops are traced.
+  void DepositToSink(Reserve* sink, Quantity amount, TraceRing* ring);
 
   Kernel* kernel_;
   ObjectId battery_reserve_;
@@ -374,8 +396,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // own leakage with one compare.
   std::vector<Reserve*> shard_sink_;
   std::vector<uint32_t> shard_sink_slot_;
-  // Largest-first shard order; the ticket tables follow it.
-  std::vector<uint32_t> shard_order_;
 
   // -- Range split (intra-shard parallel tap passes) ----------------------------
   // Geometry is rebuilt with the plan; batches only read it. A "split slot"
@@ -421,9 +441,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<uint32_t> shard_group_count_;   // Used (unpadded) groups per shard.
   std::vector<uint32_t> split_slow_entries_;  // Per split slot, set each batch.
   // Ticket tables handed to the executor: pass 1 covers every shard (range
-  // tickets for split shards, kCutPass1 for cut members, whole-shard tickets
-  // otherwise) in largest-first order; pass 2 covers only split shards'
-  // ranges and cut members.
+  // tickets for split shards, kCutPass1 for cut members, work units
+  // otherwise) heaviest first; pass 2 covers only split shards' ranges and
+  // cut members.
   std::vector<ShardTicket> tickets_pass1_;
   std::vector<ShardTicket> tickets_pass2_;
   // Rebuild-only scratch for BuildSplitPlan (stamp maps over groups/slots).
@@ -501,6 +521,12 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   bool decay_to_root_ = false;
 
   // Rebuild-only scratch (kept to reuse capacity across rebuilds).
+  struct WorkItem {  // BuildTicketTables: a unit, split shard or cut member.
+    uint32_t weight;
+    uint32_t begin;  // Shards [begin, end).
+    uint32_t end;
+  };
+  std::vector<WorkItem> work_items_;
   std::vector<ResolvedTap> resolved_;
   std::vector<ResolvedTap> sorted_resolved_;
   std::vector<uint32_t> entry_shard_;

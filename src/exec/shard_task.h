@@ -9,12 +9,14 @@
 
 namespace cinder {
 
-// What one executor ticket dispatches to. kWholeShard is the PR-3 unit (one
-// component's full batch); the range kinds subdivide a single oversized
-// shard's tap passes into contiguous plan-entry ranges that touch disjoint
-// scratch lanes, so a giant component can occupy every worker instead of one.
+// What one executor ticket dispatches to. kWholeShard is a work unit: a run
+// of whole shards, each getting its full batch, packed so that thousands of
+// tiny components cost a handful of tickets; the range kinds subdivide a
+// single oversized shard's tap passes into contiguous plan-entry ranges that
+// touch disjoint scratch lanes, so a giant component can occupy every worker
+// instead of one.
 enum class ShardTicketKind : uint8_t {
-  kWholeShard = 0,
+  kWholeShard = 0,  // Shards [shard, shard_end), one after another.
   kPass1Range = 1,  // Demand pass over [range) into a private lane slice.
   kPass2Range = 2,  // Transfer pass over the range's unconstrained entries.
   // Sub-shards of a cut component (see ShardPartitioner cut selection) run
@@ -24,15 +26,16 @@ enum class ShardTicketKind : uint8_t {
   kCutPass2 = 4,  // Transfer pass; boundary deposits drain into lanes.
 };
 
-// One claimable unit of batch work. For the whole-shard and cut kinds only
-// `shard` is meaningful; the range kinds carry the producer's dense
-// split-slot index (`split`, its table of split shards) and the range number
-// within it.
+// One claimable unit of batch work. `shard` is the (first) shard it runs; a
+// kWholeShard ticket's unit ends before `shard_end`. The range kinds carry
+// the producer's dense split-slot index (`split`, its table of split shards)
+// and the range number within it.
 struct ShardTicket {
   uint32_t shard = 0;
   uint32_t split = 0;
   uint32_t range = 0;
   ShardTicketKind kind = ShardTicketKind::kWholeShard;
+  uint32_t shard_end = 0;
 };
 
 // One batch phase's worth of shardable work, handed over as a ticket table.

@@ -31,27 +31,35 @@ TraceDomain::~TraceDomain() {
   DetachSinks();
 }
 
+TraceSink::~TraceSink() {
+  if (domain_ != nullptr) {
+    domain_->UnlinkSink(this);
+  }
+}
+
 void TraceDomain::AddSink(TraceSink* sink) {
-  if (!cfg_.enabled || sink == nullptr) {
+  if (!cfg_.enabled || sink == nullptr || sink->domain_ == this) {
     return;
   }
-  for (TraceSink* s : sinks_) {
-    if (s == sink) {
-      return;
-    }
+  if (sink->domain_ != nullptr) {
+    sink->domain_->RemoveSink(sink);
   }
   sinks_.push_back(sink);
+  sink->domain_ = this;
   sink->OnAttach(*this);
 }
 
 void TraceDomain::RemoveSink(TraceSink* sink) {
-  for (size_t i = 0; i < sinks_.size(); ++i) {
-    if (sinks_[i] == sink) {
-      sinks_.erase(sinks_.begin() + static_cast<ptrdiff_t>(i));
-      sink->OnDetach(*this);
-      return;
-    }
+  if (sink == nullptr || sink->domain_ != this) {
+    return;
   }
+  UnlinkSink(sink);
+  sink->OnDetach(*this);
+}
+
+void TraceDomain::UnlinkSink(TraceSink* sink) {
+  sinks_.erase(std::find(sinks_.begin(), sinks_.end(), sink));
+  sink->domain_ = nullptr;
 }
 
 void TraceDomain::DetachSinks() {
@@ -59,6 +67,7 @@ void TraceDomain::DetachSinks() {
   std::vector<TraceSink*> detached;
   detached.swap(sinks_);
   for (TraceSink* s : detached) {
+    s->domain_ = nullptr;
     s->OnDetach(*this);
   }
 }

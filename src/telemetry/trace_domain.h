@@ -87,13 +87,15 @@ class TraceDomain {
   void Configure(const TelemetryConfig& cfg);
 
   // -- Sinks -------------------------------------------------------------------
-  // Attaches a streaming consumer (not owned; it must outlive the domain or
-  // be removed first). Records drained by subsequent FlushFrame calls are
-  // handed to every sink in attach order instead of being retained in the
-  // spill (unless TelemetryConfig::retain_with_sinks). A sink attached
-  // mid-run starts a fresh epoch: it sees nothing earlier, and its first
-  // frame mark carries the current sequence number. No-op (the sink is not
-  // registered) when the domain is disabled. Duplicate adds are ignored.
+  // Attaches a streaming consumer (not owned; either may be destroyed first —
+  // a dying sink unlinks itself, see ~TraceSink). Records drained by
+  // subsequent FlushFrame calls are handed to every sink in attach order
+  // instead of being retained in the spill (unless
+  // TelemetryConfig::retain_with_sinks). A sink attached mid-run starts a
+  // fresh epoch: it sees nothing earlier, and its first frame mark carries
+  // the current sequence number. No-op (the sink is not registered) when the
+  // domain is disabled. Duplicate adds are ignored; a sink attached to
+  // another domain is detached from it first (one domain per sink).
   void AddSink(TraceSink* sink);
   // Detaches (OnDetach) — for FileStreamSink this finalizes the file.
   void RemoveSink(TraceSink* sink);
@@ -176,6 +178,9 @@ class TraceDomain {
   // otherwise.
   void Deliver(const TraceRecord& r);
   void DetachSinks();
+  // Drops `sink` from the registry without a callback (~TraceSink).
+  friend class TraceSink;
+  void UnlinkSink(TraceSink* sink);
 
   TelemetryConfig cfg_;
   std::vector<TraceSink*> sinks_;  // Not owned; attach order.

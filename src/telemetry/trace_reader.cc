@@ -211,7 +211,7 @@ std::vector<TraceReader::WorkerLoad> TraceReader::WorkerLoads() const {
       ++at(r.aux >> 8).dispatches;
     } else if (IsKind(r, RecordKind::kShardTiming)) {
       WorkerLoad& w = at(r.aux);
-      ++w.shard_runs;
+      w.shard_runs += TimedShards(r);
       w.busy_ns += static_cast<uint64_t>(r.v0);
     } else if (IsKind(r, RecordKind::kRangeTiming)) {
       WorkerLoad& w = at(r.aux >> 8);

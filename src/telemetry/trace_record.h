@@ -33,8 +33,11 @@ enum class RecordKind : uint8_t {
   // v1 = decay flow (nJ). The sum over all records equals the engine's
   // total_tap_flow()/total_decay_flow() bit-for-bit.
   kShardBatch = 1,
-  // Per shard per batch: actor = shard index, v0 = wall nanoseconds the
-  // shard's work item took, aux = worker slot that ran it.
+  // Per work item per batch: actor = first shard index, v0 = wall
+  // nanoseconds the item took, aux = worker slot that ran it, v1 = shards it
+  // covered (a work unit runs several whole shards; a cut member's pass 2
+  // covers 1; files written before work units carry 0, which means 1 — see
+  // TimedShards).
   kShardTiming = 2,
   // Per range pass of a split shard: actor = shard index,
   // aux = (worker slot << 8) | range index, flags = pass (1 or 2),
@@ -61,8 +64,9 @@ enum class RecordKind : uint8_t {
   kSchedPick = 8,
   // CPU billing: actor = low 32 bits of the thread id, v0 = billed (nJ).
   kCpuCharge = 9,
-  // Executor dispatch: one per claimed ticket. actor = shard index,
-  // aux = (worker slot << 8) | range index, flags = ShardTicketKind.
+  // Executor dispatch: one per claimed ticket (work unit, range or cut
+  // member). actor = (first) shard index, aux = (worker slot << 8) | range
+  // index, flags = ShardTicketKind.
   kDispatch = 10,
   // Fine-grained, off by default. Plan table dumped at each rebuild so
   // offline readers can map plan entries back to kernel objects:
@@ -134,5 +138,11 @@ struct TraceRecord {
   uint16_t aux = 0;
 };
 static_assert(sizeof(TraceRecord) == 32, "records are fixed 32-byte binary");
+
+// The shards one kShardTiming record covers: v1, where 0 (a trace written
+// before work units, when every record timed one shard) counts as 1.
+inline uint64_t TimedShards(const TraceRecord& r) {
+  return r.v1 > 0 ? static_cast<uint64_t>(r.v1) : 1;
+}
 
 }  // namespace cinder

@@ -28,7 +28,15 @@ class TraceDomain;
 
 class TraceSink {
  public:
-  virtual ~TraceSink() = default;
+  TraceSink() = default;
+  // The domain holds the sink's address, so a sink is never copied or moved.
+  TraceSink(const TraceSink&) = delete;
+  TraceSink& operator=(const TraceSink&) = delete;
+  // Either side may die first. A sink destroyed while still attached
+  // unlinks itself from its domain without any callback (a derived sink's
+  // own destructor has already run by then — FileStreamSink finalizes its
+  // file there); a domain destroyed first detaches its sinks (OnDetach).
+  virtual ~TraceSink();
 
   // The sink was attached to an enabled domain (TraceDomain::AddSink). A
   // sink attached mid-run starts a fresh epoch at the current frame: it sees
@@ -45,11 +53,19 @@ class TraceSink {
   // OnRecord). Cold per-batch hook: fsync policy, window bookkeeping.
   virtual void OnFrame(uint64_t seq, const TraceDomain& domain) {}
 
-  // Final callback: RemoveSink, a reconfigure, or the domain's destruction
-  // (which flushes any pending ring records first, so nothing is silently
-  // lost). The sink outlives the domain in well-formed embeddings — the
-  // Simulator declares its stream sink before the domain for exactly this.
+  // Final callback: RemoveSink, a reconfigure, the sink's attachment to
+  // another domain, or the domain's destruction (which flushes any pending
+  // ring records first, so nothing is silently lost). Not called when the
+  // sink itself is destroyed while attached: a sink that must see the
+  // domain's last frame outlives it — the Simulator declares its stream sink
+  // before the domain for exactly this.
   virtual void OnDetach(const TraceDomain& domain) {}
+
+ private:
+  friend class TraceDomain;
+  // The domain this sink is attached to, or null. Set and cleared by the
+  // domain on the flush thread.
+  TraceDomain* domain_ = nullptr;
 };
 
 }  // namespace cinder

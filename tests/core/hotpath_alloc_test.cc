@@ -357,6 +357,59 @@ TEST(HotPathAllocTest, TelemetryShardedSteadyStateIsAllocationFree) {
   EXPECT_GT(engine.total_tap_flow(), 0);
 }
 
+TEST(HotPathAllocTest, PooledFleetWorkUnitsAreAllocationFree) {
+  // The fleet shape work units exist for: 2,000 three-tap phones packed into
+  // units on a 4-worker pool, decay routed to each phone's pool (settled
+  // inside the unit), default telemetry on. A pooled steady-state batch
+  // allocates nothing.
+  Kernel k;
+  Reserve* battery = k.Create<Reserve>(
+      k.root_container_id(), Label(Level::k1), "battery");
+  battery->set_decay_exempt(true);
+  ShardExecutor exec(4);
+  TapEngine engine(&k, battery->id());
+  engine.EnableSharding(&exec);
+  engine.decay().enabled = true;
+  engine.decay().half_life = Duration::Minutes(2);
+  engine.decay().to_shard_root = true;
+  TelemetryConfig cfg;
+  cfg.enabled = true;
+  cfg.spill_grow = false;
+  TraceDomain domain(cfg);
+  engine.set_telemetry(&domain);
+  for (int p = 0; p < 2000; ++p) {
+    Reserve* pool = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "pool");
+    pool->Deposit(ToQuantity(Energy::Joules(200.0 + p % 7)));
+    Reserve* fg = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "fg");
+    Reserve* bg = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "bg");
+    Tap* feed_fg =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "feed_fg", pool->id(), fg->id());
+    feed_fg->SetConstantPower(Power::Milliwatts(200 + p % 5 * 60));
+    Tap* feed_bg =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "feed_bg", pool->id(), bg->id());
+    feed_bg->SetProportionalRate(0.002);
+    Tap* back =
+        k.Create<Tap>(k.root_container_id(), Label(Level::k1), "back", fg->id(), pool->id());
+    back->SetProportionalRate(0.1);
+    ASSERT_TRUE(engine.Register(feed_fg->id()));
+    ASSERT_TRUE(engine.Register(feed_bg->id()));
+    ASSERT_TRUE(engine.Register(back->id()));
+  }
+  for (int i = 0; i < 10; ++i) {
+    engine.RunBatch(Duration::Millis(10));
+  }
+  ASSERT_EQ(engine.shard_count(), 2000u);
+  ASSERT_GE(engine.pass1_tickets().size(), 4u);  // Enough units to use the pool.
+  ASSERT_LT(engine.pass1_tickets().size(), 100u);
+  const unsigned long long before = g_allocations.load();
+  for (int i = 0; i < 200; ++i) {
+    engine.RunBatch(Duration::Millis(10));
+  }
+  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(domain.frames_flushed(), 210u);
+  EXPECT_GT(engine.total_decay_flow(), 0);
+}
+
 TEST(HotPathAllocTest, TelemetrySingleShardFastPathIsAllocationFree) {
   // The tiny one-shard batch (no pool: one whole-shard ticket run in the
   // caller) with telemetry on: emit + flush per batch must stay store-only.

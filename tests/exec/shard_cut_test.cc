@@ -332,6 +332,145 @@ TEST(ShardCutTest, EveryTicketKindFinishesEachShardOnce) {
   }
 }
 
+// The work-unit contract. Many 3-tap phones (packed into several units) share
+// one engine with a range-split fan-out, a lane-settled cut chain and a
+// fused constrained chain, decay routed to shard roots (phones and the split
+// star settle their sinks inside their own work item, cut members in the
+// merge). Per batch: exactly one kShardBatch per shard; one kDispatch per
+// pooled ticket — a work unit, a range, or a cut member's pass — and none
+// without a pool; one kShardTiming record per unit, whose shard count (v1)
+// is the unit's, so the units' records cover every whole shard once.
+// Results stay bit-identical to the uncut sharded-serial reference at every
+// worker count.
+TEST(ShardUnitTest, UnitsRangesAndCutsEachRunEveryShardOnce) {
+  constexpr int kBatches = 60;
+  constexpr int kPhones = 500;
+  auto build = [](Rig& r) {
+    for (int p = 0; p < kPhones; ++p) {
+      const std::string tag = std::to_string(p);
+      Reserve* pool = r.NewReserve("pool" + tag);
+      pool->Deposit(ToQuantity(Energy::Joules(20.0 + p % 7)));
+      Reserve* fg = r.NewReserve("fg" + tag);
+      Reserve* bg = r.NewReserve("bg" + tag);
+      r.NewTap(pool->id(), fg->id(), "feed_fg" + tag)
+          ->SetConstantPower(Power::Milliwatts(200 + p % 5 * 60));
+      r.NewTap(pool->id(), bg->id(), "feed_bg" + tag)->SetProportionalRate(0.002 + 0.0005 * (p % 4));
+      r.NewTap(fg->id(), pool->id(), "back" + tag)->SetProportionalRate(0.1);
+    }
+    r.BuildStar(24);
+    r.BuildChain(48, /*charged=*/true);
+    r.BuildChain(40, /*charged=*/false);
+  };
+  Rig reference(nullptr, /*sharded=*/true);
+  reference.engine->decay().to_shard_root = true;
+  build(reference);
+  reference.RunBatches(kBatches);
+
+  for (int workers : {0, 1, 2, 4, 8}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    std::unique_ptr<ShardExecutor> exec;
+    if (workers > 0) {
+      exec = std::make_unique<ShardExecutor>(workers);
+    }
+    Rig rig(exec.get(), /*sharded=*/true, /*cut_threshold=*/16,
+            /*split_min=*/20, /*split_ranges=*/4);
+    rig.engine->decay().to_shard_root = true;
+    TelemetryConfig cfg;
+    cfg.enabled = true;
+    cfg.spill_grow = true;
+    TraceDomain domain(cfg);
+    rig.engine->set_telemetry(&domain);
+    if (exec != nullptr) {
+      exec->set_telemetry(&domain);
+    }
+    build(rig);
+    rig.RunBatches(kBatches);
+    if (exec != nullptr) {
+      exec->set_telemetry(nullptr);
+    }
+
+    const TapEngine& engine = *rig.engine;
+    const uint32_t shards = engine.shard_count();
+    uint32_t split_shards = 0;
+    for (const auto& s : engine.shard_stats()) {
+      split_shards += s.ranges > 1 ? 1 : 0;
+    }
+    ASSERT_EQ(split_shards, 1u) << label;
+    ASSERT_EQ(engine.cut_parent_count(), 2u) << label;
+    uint64_t units = 0;
+    uint64_t unit_shards = 0;
+    uint64_t cut_members = 0;
+    uint64_t pooled_tickets = 0;  // Per batch, both passes.
+    std::vector<uint32_t> unit_size(shards, 0);  // By first shard; 0 = no unit starts there.
+    for (const ShardTicket& t : engine.pass1_tickets()) {
+      if (t.kind == ShardTicketKind::kWholeShard) {
+        ++units;
+        unit_shards += t.shard_end - t.shard;
+        unit_size[t.shard] = t.shard_end - t.shard;
+        ++pooled_tickets;
+      } else {
+        pooled_tickets += 2;  // Ranges and cut members run both passes.
+        cut_members += t.kind == ShardTicketKind::kCutPass1 ? 1 : 0;
+      }
+    }
+    // Every shard is in a unit except the split star and the cut members.
+    EXPECT_EQ(unit_shards + split_shards + cut_members, shards) << label;
+    ASSERT_GE(units, 3u) << label << ": the phones should pack into several units";
+    ASSERT_LT(units, static_cast<uint64_t>(kPhones) / 10) << label;
+
+    std::vector<uint32_t> seen(shards, 0);
+    uint64_t frames = 0;
+    uint64_t bad_batch_frames = 0;
+    uint64_t bad_dispatch_frames = 0;
+    uint64_t bad_timing_frames = 0;
+    uint64_t dispatches = 0;
+    uint64_t unit_timings = 0;
+    uint64_t timed_shards = 0;
+    domain.ForEachSpilled([&](const TraceRecord& r) {
+      switch (static_cast<RecordKind>(r.kind)) {
+        case RecordKind::kFrameMark:
+          ++frames;
+          bad_batch_frames += std::count(seen.begin(), seen.end(), 1u) == shards ? 0 : 1;
+          bad_dispatch_frames += dispatches == (workers >= 2 ? pooled_tickets : 0) ? 0 : 1;
+          bad_timing_frames += unit_timings == units && timed_shards == unit_shards ? 0 : 1;
+          seen.assign(shards, 0);
+          dispatches = 0;
+          unit_timings = 0;
+          timed_shards = 0;
+          break;
+        case RecordKind::kShardBatch:
+          ASSERT_LT(r.actor, shards);
+          ++seen[r.actor];
+          break;
+        case RecordKind::kDispatch:
+          ++dispatches;
+          break;
+        case RecordKind::kShardTiming:
+          // A unit's record (actor = its first shard) covers its shards; a
+          // cut member's pass-2 record covers that one member.
+          ASSERT_LT(r.actor, shards);
+          if (unit_size[r.actor] != 0) {
+            ++unit_timings;
+            EXPECT_EQ(TimedShards(r), unit_size[r.actor]) << label;
+            timed_shards += TimedShards(r);
+          } else {
+            EXPECT_EQ(TimedShards(r), 1u) << label;
+          }
+          break;
+        default:
+          break;
+      }
+    });
+    EXPECT_EQ(domain.dropped_records(), 0u) << label;
+    EXPECT_EQ(frames, static_cast<uint64_t>(kBatches)) << label;
+    EXPECT_EQ(bad_batch_frames, 0u) << label << ": a frame without one kShardBatch per shard";
+    EXPECT_EQ(bad_dispatch_frames, 0u) << label << ": a frame without one kDispatch per ticket";
+    EXPECT_EQ(bad_timing_frames, 0u) << label << ": a frame whose timing misses a shard";
+    EXPECT_GT(engine.total_decay_flow(), 0) << label;
+    ExpectIdenticalState(reference, rig, label);
+  }
+}
+
 // Mid-run churn: growth past the threshold re-cuts, deletions re-cut again,
 // and a disabled boundary tap (no topology change — the cut layout is
 // reused) just carries a zero lane. The reference applies the identical

@@ -170,24 +170,47 @@ TEST(ShardDeterminismTest, IrregularBatchDurationsStayIdentical) {
 TEST(ShardDeterminismTest, ExecutorOrderIsLargestShardFirst) {
   ShardExecutor exec(2);
   Fleet sharded(&exec, /*sharded=*/true);
-  // Unbalance the fleet: give phone 0's component three extra taps.
+  // Enough extra phones that the small shards pack into several work units.
+  for (int p = kPhones; p < 400; ++p) {
+    sharded.AddPhone(p);
+  }
+  // Unbalance the fleet: give phone 0's component enough extra taps that its
+  // weight alone exceeds a unit's, so it must run as a unit of its own.
   const std::string prefix = "phone0/extra";
   const auto& reserves = sharded.kernel.ObjectsOfType(ObjectType::kReserve);
   ObjectId pool = reserves[1];  // First reserve after the battery = phone0/pool.
-  for (int i = 0; i < 3; ++i) {
+  for (uint32_t i = 0; i < TapEngine::kUnitWeight; ++i) {
     Reserve* r = sharded.NewReserve(prefix + std::to_string(i));
     sharded.NewTap(pool, r->id(), prefix + "/t" + std::to_string(i))
         ->SetConstantPower(Power::Milliwatts(1));
   }
   sharded.RunBatches(1);
-  const auto& order = sharded.engine->shard_run_order();
-  const auto& stats = sharded.engine->shard_stats();
-  ASSERT_EQ(order.size(), stats.size());
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_GE(stats[order[i - 1]].taps, stats[order[i]].taps)
-        << "order[" << i - 1 << "]=" << order[i - 1] << " order[" << i << "]=" << order[i];
+  const TapEngine& engine = *sharded.engine;
+  const auto& tickets = engine.pass1_tickets();
+  auto unit_weight = [&](const ShardTicket& t) {
+    uint32_t w = 0;
+    for (uint32_t s = t.shard; s < t.shard_end; ++s) {
+      w += engine.shard_weight(s);
+    }
+    return w;
+  };
+  ASSERT_GE(tickets.size(), 3u);
+  std::vector<uint8_t> covered(engine.shard_count(), 0);
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    ASSERT_EQ(tickets[i].kind, ShardTicketKind::kWholeShard);
+    ASSERT_LT(tickets[i].shard, tickets[i].shard_end);
+    for (uint32_t s = tickets[i].shard; s < tickets[i].shard_end; ++s) {
+      EXPECT_EQ(covered[s]++, 0) << "shard " << s << " in two units";
+    }
+    if (i > 0) {
+      EXPECT_GE(unit_weight(tickets[i - 1]), unit_weight(tickets[i])) << "ticket " << i;
+    }
   }
-  EXPECT_EQ(order[0], 0u) << "phone 0 has the most taps and must run first";
+  for (uint32_t s = 0; s < engine.shard_count(); ++s) {
+    EXPECT_EQ(covered[s], 1) << "shard " << s << " in no unit";
+  }
+  EXPECT_EQ(tickets[0].shard, 0u) << "phone 0 is the heaviest shard and must run first";
+  EXPECT_EQ(tickets[0].shard_end, 1u) << "an oversized shard is a unit of its own";
 }
 
 // decay_to_shard_root golden: with per-shard sinks on, results must still be

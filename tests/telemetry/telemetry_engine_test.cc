@@ -182,26 +182,34 @@ TEST(TelemetryEngineTest, ShardTimelineCumulatesToShardTotal) {
 }
 
 TEST(TelemetryEngineTest, DispatchRecordsCoverEveryPooledTicket) {
+  // Enough phones (weight 6 each: 3 taps, 3 decay reserves) to pack into
+  // several work units, so the batches run on the pool.
   Simulator sim(FleetConfig(3));
-  BuildPhones(sim, 6);
+  BuildPhones(sim, 600);
   sim.Run(Duration::Seconds(1));
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
+  ASSERT_EQ(reader.dropped(), 0u);
 
+  const auto& tickets = sim.taps().pass1_tickets();
+  ASSERT_GE(tickets.size(), 2u);
+  const uint32_t shards = sim.taps().shard_count();
+  ASSERT_EQ(shards, 600u);
   uint64_t batches = 0;
   for (const auto& s : reader.FlowByShard()) {
     batches += s.batches;
   }
+  ASSERT_GT(batches, 0u);
+  ASSERT_EQ(batches % shards, 0u);
   uint64_t dispatches = 0;
   uint64_t shard_runs = 0;
   for (const auto& w : reader.WorkerLoads()) {
-    // Pool slots are 1..workers; slot 0 is the caller, which never claims
-    // tickets in pooled mode but may appear via timing records.
     dispatches += w.dispatches;
     shard_runs += w.shard_runs;
   }
-  // One dispatch and one timed shard run per shard-batch.
-  EXPECT_EQ(dispatches, batches);
+  // One dispatch per work unit per batch, and each unit's one timing record
+  // counts every shard it ran: one timed shard run per shard-batch.
+  EXPECT_EQ(dispatches, tickets.size() * (batches / shards));
   EXPECT_EQ(shard_runs, batches);
 }
 

@@ -184,6 +184,49 @@ TEST(TraceSinkTest, DestructorAddsNoEmptyFrameWhenAlreadyFlushed) {
   EXPECT_EQ(sink.detaches, 1);
 }
 
+TEST(TraceSinkTest, SinkDestroyedBeforeItsDomainUnlinksItself) {
+  // Declared in the order that used to call OnDetach on a dead sink from
+  // ~TraceDomain: the sink dies first, while still attached. It must drop
+  // out of the registry without a callback, and the domain must keep
+  // flushing (to the surviving sink) and then destroy cleanly.
+  TraceDomain domain(SmallConfig());
+  CountingSink survivor;
+  domain.AddSink(&survivor);
+  {
+    FileStreamSink file;
+    ASSERT_TRUE(file.Open(TempPath("sink_dies_first.bin"), {}));
+    CountingSink counting;
+    domain.AddSink(&counting);
+    domain.AddSink(&file);
+    EXPECT_EQ(domain.sink_count(), 3u);
+    EmitBatch(domain, 4, 0);
+    EXPECT_EQ(counting.records, 5u);
+  }
+  EXPECT_EQ(domain.sink_count(), 1u);
+  EmitBatch(domain, 2, 10);
+  EXPECT_EQ(survivor.records, 5u + 3u);
+  // The survivor is declared after the domain, so it dies first too, and
+  // ~TraceDomain then flushes this pending record with no sink left to call.
+  domain.ring(0)->Emit(0, RecordKind::kShardBatch, 0, 0, 0, 99, 0);
+}
+
+TEST(TraceSinkTest, SinkMovesBetweenDomains) {
+  CountingSink sink;
+  TraceDomain first(SmallConfig());
+  TraceDomain second(SmallConfig());
+  first.AddSink(&sink);
+  second.AddSink(&sink);  // Detaches from `first` (OnDetach), then attaches.
+  EXPECT_EQ(first.sink_count(), 0u);
+  EXPECT_EQ(second.sink_count(), 1u);
+  EXPECT_EQ(sink.attaches, 2);
+  EXPECT_EQ(sink.detaches, 1);
+  first.RemoveSink(&sink);  // Not attached there any more: a no-op.
+  EXPECT_EQ(sink.detaches, 1);
+  EmitBatch(first, 3, 0);
+  EmitBatch(second, 2, 0);
+  EXPECT_EQ(sink.records, 3u);
+}
+
 TEST(TraceSinkTest, DisabledDomainIgnoresSinksEntirely) {
   TelemetryConfig cfg;
   cfg.enabled = false;
