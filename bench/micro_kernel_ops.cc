@@ -300,16 +300,17 @@ BENCHMARK(BM_TapBatchGiant)
 
 // The deep-ladder topology the range split cannot parallelize: one chain of
 // `depth` taps is a single component, but its plan is thousands of one-entry
-// demand groups with chained destinations — range tickets would defer nearly
-// every deposit, so splitting buys nothing and the uncut engine serializes
-// the whole chain as one work item. Articulation cuts bound every sub-shard
-// at 512 entries (depth/512 independent work items) and settle the severed
-// taps' transfers in one serial pass at the batch boundary. Every node is
-// pre-funded so all demand groups stay provably unconstrained and the lane
-// path runs (the fused fallback would re-serialize). workers=0 is the
-// sharded engine with cutting off (the whole-shard baseline); workers=1 runs
-// the cut pipeline serially in the caller, isolating the cut machinery's
-// overhead from pool parallelism.
+// demand groups with chained destinations — range tickets defer nearly every
+// deposit, so splitting buys nothing. workers=0 is the sharded engine with
+// cutting off under the default SplitConfig: depth 1024 runs as one whole
+// shard, but depth 8192 reaches min_entries and runs the range split (its
+// slowest configuration; docs/PERFORMANCE.md, articulation-cut results).
+// workers>=1 cuts at 512 entries: the members (never range-split) run in
+// order in one kCutParent ticket, settling the severed taps in cut order, so
+// a lone chain runs in the caller at any worker count and workers=4 should
+// read as workers=1. Every node is pre-funded so all demand groups stay
+// provably unconstrained and the lane-settled path runs, not the fused
+// fallback.
 void BM_TapBatchChain(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));

@@ -431,8 +431,8 @@ void TapEngine::BuildSplitPlan() {
     const ShardLayout& layout = partitioner_->layout();
     for (uint32_t s = 0; s < num_shards_; ++s) {
       // Members of a cut parent never range-split: the cut threshold already
-      // bounds their plan sections, and their two passes must run as whole
-      // phases so the boundary settlement sits between them.
+      // bounds their plan sections, and their parent's ticket runs them
+      // whole, with the boundary settlement between their passes.
       if (shard_cut_parent_[s] != kNoCut) {
         continue;
       }
@@ -561,11 +561,13 @@ void TapEngine::BuildSplitPlan() {
 }
 
 void TapEngine::BuildTicketTables() {
-  // Work items, in shard-index order first: a split shard or a cut member is
-  // an item of its own; every other shard joins the open work unit, a run of
-  // consecutive whole shards — hence one contiguous plan range — closed once
-  // its weight reaches kUnitWeight. A shard that alone reaches it, or a split
-  // or cut shard between two whole ones, closes the open unit first.
+  // Work items, in shard-index order first: a split shard is an item of its
+  // own, weighted by one range's share; a cut parent is one item at its first
+  // member, weighted by the sum of its members' weights; every other shard
+  // joins the open work unit, a run of consecutive whole shards — hence one
+  // contiguous plan range — closed once its weight reaches kUnitWeight. A
+  // shard that alone reaches it, or a split or cut shard between two whole
+  // ones, closes the open unit first.
   std::vector<WorkItem>& items = work_items_;
   items.clear();
   WorkItem open{0, 0, 0};
@@ -576,8 +578,30 @@ void TapEngine::BuildTicketTables() {
     open = WorkItem{0, 0, 0};
   };
   for (uint32_t s = 0; s < num_shards_; ++s) {
+    const uint32_t p = shard_cut_parent_[s];
+    if (p != kNoCut) {
+      close_open();
+      const uint32_t mb = parent_shard_begin_[p];
+      if (parent_shards_[mb] == s) {
+        uint32_t w = 0;
+        for (uint32_t j = mb; j < parent_shard_begin_[p + 1]; ++j) {
+          w += shard_weight(parent_shards_[j]);
+        }
+        items.push_back(WorkItem{w, s, s + 1});
+      }
+      continue;
+    }
     const uint32_t w = shard_weight(s);
-    if (split_of_shard_[s] != kNoSplit || shard_cut_parent_[s] != kNoCut || w >= kUnitWeight) {
+    if (split_of_shard_[s] != kNoSplit) {
+      // Each range ticket carries about 1/k of its shard, so the item weighs
+      // one range: a cut parent heavier than a range then starts before the
+      // ranges, not after all of them, where a deep chain beside a split star
+      // would set the pass-1 critical path.
+      close_open();
+      items.push_back(WorkItem{w / split_k_, s, s + 1});
+      continue;
+    }
+    if (w >= kUnitWeight) {
       close_open();
       items.push_back(WorkItem{w, s, s + 1});
       continue;
@@ -599,10 +623,9 @@ void TapEngine::BuildTicketTables() {
                    [](const WorkItem& a, const WorkItem& b) { return a.weight > b.weight; });
 
   // Ticket tables, in that item order. Pass 1 covers every shard — one
-  // kWholeShard ticket per work unit, range tickets for split shards,
-  // whole-sub-shard kCutPass1 tickets for cut members; pass 2 is the split
-  // shards' ranges plus the cut members' kCutPass2 tickets. Empty tail
-  // ranges (entries < k) get no tickets.
+  // kWholeShard ticket per work unit, range tickets for split shards, one
+  // kCutParent ticket per cut parent; pass 2 is the split shards' ranges.
+  // Empty tail ranges (entries < k) get no tickets.
   tickets_pass1_.clear();
   tickets_pass2_.clear();
   const uint32_t k = split_k_;
@@ -610,12 +633,10 @@ void TapEngine::BuildTicketTables() {
     const uint32_t s = item.begin;
     const uint32_t u = split_of_shard_[s];
     if (u == kNoSplit) {
-      if (shard_cut_parent_[s] != kNoCut) {
-        tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass1});
-        tickets_pass2_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kCutPass2});
-      } else {
-        tickets_pass1_.push_back(ShardTicket{s, 0, 0, ShardTicketKind::kWholeShard, item.end});
-      }
+      const uint32_t p = shard_cut_parent_[s];
+      tickets_pass1_.push_back(p != kNoCut
+                                   ? ShardTicket{s, p, 0, ShardTicketKind::kCutParent}
+                                   : ShardTicket{s, 0, 0, ShardTicketKind::kWholeShard, item.end});
       continue;
     }
     const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(u) * (k + 1);
@@ -638,14 +659,13 @@ void TapEngine::BuildCutPlan() {
   parent_shards_.clear();
   parent_shard_begin_.clear();
   shard_cut_parent_.assign(num_shards_, kNoCut);
-  entry_cut_lane_.clear();
-  shard_lane_begin_.clear();
+  entry_cut_.clear();
+  cut_moved_.clear();
   fused_entries_.clear();
   fused_src_shard_.clear();
   fused_dst_shard_.clear();
   parent_fused_begin_.clear();
   parent_fused_.clear();
-  boundary_.Clear();
   if (!sharding_ || num_shards_ <= 1 || !partitioner_->valid()) {
     return;
   }
@@ -657,14 +677,13 @@ void TapEngine::BuildCutPlan() {
   // different sub-shard. Only taps the partitioner severed can (an unsevered
   // edge's endpoints share a sub-shard by construction); severed taps that
   // are dangling or label-blocked have no entry and no flow, so they need no
-  // lane — a parent whose severed taps are all inert runs its members as
+  // cut slot — a parent whose severed taps are all inert runs its members as
   // plain independent shards.
   const auto n = static_cast<uint32_t>(plan_src_.size());
   struct CutSeed {
     ObjectId tap;
     uint32_t entry;
     uint32_t parent;
-    uint32_t src_shard;
     uint32_t dst_shard;
   };
   std::vector<CutSeed> seeds;
@@ -677,7 +696,7 @@ void TapEngine::BuildCutPlan() {
       }
       entry_dst_shard[i] = ds;
       if (ds != s) {
-        seeds.push_back({resolved_[i].tap->id(), i, layout.shard_parent[s], s, ds});
+        seeds.push_back({resolved_[i].tap->id(), i, layout.shard_parent[s], ds});
       }
     }
   }
@@ -722,27 +741,10 @@ void TapEngine::BuildCutPlan() {
       }
     }
   }
-  // Lane layout: one lane per cut, grouped by source sub-shard with each
-  // group padded to cache-line boundaries, so concurrent kCutPass2 tickets
-  // (one per sub-shard, the sole writer of its slice) never share a line —
-  // SplitLaneBank's discipline.
-  constexpr uint32_t kLanePad = 64 / sizeof(Quantity);
-  std::vector<uint32_t> lane_count(num_shards_, 0);
-  for (const CutSeed& sd : seeds) {
-    ++lane_count[sd.src_shard];
-  }
-  shard_lane_begin_.assign(num_shards_ + 1, 0);
-  uint32_t next_lane = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    shard_lane_begin_[s] = next_lane;
-    next_lane += (lane_count[s] + kLanePad - 1) / kLanePad * kLanePad;
-  }
-  shard_lane_begin_[num_shards_] = next_lane;
-  boundary_.Reset(next_lane);
-  entry_cut_lane_.assign(n, kNoCut);
+  entry_cut_.assign(n, kNoCut);
+  cut_moved_.assign(seeds.size(), 0);
   parent_cut_begin_.assign(np + 1, 0);
   cuts_.reserve(seeds.size());
-  std::vector<uint32_t> lane_cursor(shard_lane_begin_.begin(), shard_lane_begin_.end() - 1);
   uint32_t dense_parent = 0;
   for (const CutSeed& sd : seeds) {
     while (cut_parents_[dense_parent] != sd.parent) {
@@ -750,7 +752,6 @@ void TapEngine::BuildCutPlan() {
     }
     BoundaryCut cut;
     cut.entry = sd.entry;
-    cut.lane = lane_cursor[sd.src_shard]++;
     cut.dst_slot = plan_dst_[sd.entry];
     cut.dst_shard = sd.dst_shard;
     // The demand group sourced at the destination, if the destination
@@ -765,7 +766,7 @@ void TapEngine::BuildCutPlan() {
         break;
       }
     }
-    entry_cut_lane_[sd.entry] = cut.lane;
+    entry_cut_[sd.entry] = static_cast<uint32_t>(cuts_.size());
     ++parent_cut_begin_[dense_parent + 1];
     cuts_.push_back(cut);
   }
@@ -909,21 +910,25 @@ void TapEngine::RunBatch(Duration dt) {
   telem_boundary_ = (tmask & RecordBit(RecordKind::kBoundarySettle)) != 0;
   // Degenerate-dispatch fast path: waking the pool costs two notify/wait
   // handshakes per phase, pure loss unless at least two busy work items can
-  // overlap. Count runnable pass-1 tickets (a work unit or cut member with a
-  // shard that has plan entries or a non-empty decay list; every range) and
-  // short-circuit at two — a busy fleet exits this scan after a couple of
-  // tickets, while a small fleet packed into one unit, or a single shard
-  // (BM_TapBatchWithDecay-sized), runs serially with no executor round-trip
-  // at all. Results never depend on the choice.
+  // overlap. Count runnable pass-1 tickets (a work unit with a shard that has
+  // plan entries or a non-empty decay list; every range and cut parent, which
+  // always have entries) and short-circuit at two — a busy fleet exits this
+  // scan after a couple of tickets, while a small fleet packed into one unit,
+  // a single shard (BM_TapBatchWithDecay-sized) or a lone cut chain runs
+  // serially with no executor round-trip at all. Results never depend on the
+  // choice.
   bool use_pool = executor_ != nullptr && executor_->workers() > 1;
   if (use_pool) {
     uint32_t busy = 0;
     for (const ShardTicket& t : tickets_pass1_) {
-      const uint32_t end = t.kind == ShardTicketKind::kWholeShard ? t.shard_end : t.shard + 1;
-      for (uint32_t s = t.shard; s < end; ++s) {
-        if (stats_[s].taps != 0 || !decay_active_[s].empty()) {
-          ++busy;
-          break;
+      if (t.kind != ShardTicketKind::kWholeShard) {
+        ++busy;
+      } else {
+        for (uint32_t s = t.shard; s < t.shard_end; ++s) {
+          if (stats_[s].taps != 0 || !decay_active_[s].empty()) {
+            ++busy;
+            break;
+          }
         }
       }
       if (busy >= 2) {
@@ -932,44 +937,33 @@ void TapEngine::RunBatch(Duration dt) {
     }
     use_pool = busy >= 2;
   }
-  // The one batch pipeline. Phase A: every shard's pass 1 (whole-shard
-  // tickets run their full batch; split shards run per-range demand passes
-  // into private lanes; cut members run their whole demand pass). Serial
-  // reduce/classify: fold split lanes in range order into the canonical
-  // per-group demand, classify each split group, and arm the fused fallback
-  // for any cut parent whose boundary deferral is not provably invisible.
-  // Phase B: the split shards' unconstrained entries and the cut members'
-  // transfer passes (boundary entries drain into lanes), racing only on
-  // shard/range-exclusive state. Serial finalize: split deferred effects, the
-  // boundary settlement in fixed cut order, and the decay slices — all in
-  // fixed shard/range/cut order. The reduction and settlement orders, not the
-  // ticket interleaving, define every result bit. With nothing split or cut,
-  // phase A is the whole batch: the serial steps and the empty pass-2 table
-  // are skipped, not run empty.
+  // The one batch pipeline. Phase A: every pass-1 ticket — work units and
+  // cut parents run their full batch, split shards run per-range demand
+  // passes into private lanes. Only when a shard is split: the serial
+  // reduction folds its lanes in range order into the canonical per-group
+  // demand and classifies each group; phase B runs its unconstrained entries
+  // per range, racing only on range-exclusive state; the serial finalize
+  // applies the deferred effects in range order, the constrained tail and
+  // the decay slice. The reduction order, not the ticket interleaving,
+  // defines every result bit. With nothing split, phase A is the whole batch:
+  // the serial steps and the empty pass-2 table are skipped, not run empty.
   Dispatch(tickets_pass1_, use_pool);
-  if (!split_shards_.empty() || !cuts_.empty()) {
+  if (!split_shards_.empty()) {
     const auto nu = static_cast<uint32_t>(split_shards_.size());
     for (uint32_t u = 0; u < nu; ++u) {
       ReduceSplitDemand(u);
-    }
-    if (!cuts_.empty()) {
-      ClassifyCutParents();
     }
     Dispatch(tickets_pass2_, use_pool);
     for (uint32_t u = 0; u < nu; ++u) {
       FinalizeSplitShard(u);
     }
-    if (!cuts_.empty()) {
-      SettleCutParents();
-    }
   }
   // Deterministic merge, in shard order: engine totals, per-shard stats, and
-  // the decay leakage each shard banked for a sink it does not own — the
-  // battery root, or a cut component's shared sink under
-  // decay_to_shard_root (a whole or split shard already settled into its own
-  // sink in FinishShard). Deferring these deposits here is what keeps the
-  // sink's shard race-free — and it exactly matches the unsharded engine,
-  // where every tap reads the battery before the decay pass touches it.
+  // the decay leakage each shard banked for the battery root (a shard with
+  // its own sink under decay_to_shard_root settled it in FinishShard).
+  // Deferring these deposits here is what keeps the battery's shard
+  // race-free — and it exactly matches the unsharded engine, where every tap
+  // reads the battery before the decay pass touches it.
   Reserve* battery = battery_cache_;
   TraceRing* const ring = telem_reserve_ops_ ? WorkerRing() : nullptr;
   Quantity tap_flow = 0;
@@ -980,17 +974,13 @@ void TapEngine::RunBatch(Duration dt) {
     decay_flow += sc.decay_flow;
     stats_[s].tap_flow += sc.tap_flow;
     stats_[s].decay_flow += sc.decay_flow;
-    if (sc.decay_leak > 0) {
-      Reserve* sink = decay_to_root_ ? shard_sink_[s] : battery;
-      if (sink == nullptr) {
-        sink = battery;
+    if (battery != nullptr) {
+      if (sc.decay_leak > 0) {
+        DepositToSink(battery, sc.decay_leak, ring);
       }
-      if (sink != nullptr) {
-        DepositToSink(sink, sc.decay_leak, ring);
+      if (sc.decay_stray > 0) {
+        DepositToSink(battery, sc.decay_stray, ring);
       }
-    }
-    if (sc.decay_stray > 0 && battery != nullptr) {
-      DepositToSink(battery, sc.decay_stray, ring);
     }
   }
   total_tap_flow_ += tap_flow;
@@ -1027,16 +1017,13 @@ void TapEngine::RunTicket(const ShardTicket& t) {
       RunUnit(t.shard, t.shard_end);
       break;
     case ShardTicketKind::kPass1Range:
-      RunPass1Range(t.split, t.range);
+      RunPass1Range(t.slot, t.range);
       break;
     case ShardTicketKind::kPass2Range:
-      RunPass2Range(t.split, t.range);
+      RunPass2Range(t.slot, t.range);
       break;
-    case ShardTicketKind::kCutPass1:
-      RunShardPass1(t.shard);
-      break;
-    case ShardTicketKind::kCutPass2:
-      RunCutPass2(t.shard);
+    case ShardTicketKind::kCutParent:
+      RunCutParent(t.slot);
       break;
   }
 }
@@ -1061,9 +1048,9 @@ inline void TapEngine::RunUnit(uint32_t first, uint32_t last) {
     Quantity flow = 0;
     // A shard without taps (a decay-only engine, a stray shard) has no
     // passes to run; their setup alone would cost more than its decay
-    // slice. Pass 1 is spelled out here rather than called through
-    // RunShardPass1: the extra call made a one-tap batch (BM_TapBatch/1) up
-    // to 30% slower.
+    // slice. Pass 1 is spelled out here rather than called through a
+    // per-shard helper: the extra call made a one-tap batch (BM_TapBatch/1)
+    // up to 30% slower.
     if (begin < end) {
       std::fill(group_base_ + shard_group_begin_[shard],
                 group_base_ + shard_group_begin_[shard + 1], 0.0);
@@ -1075,17 +1062,6 @@ inline void TapEngine::RunUnit(uint32_t first, uint32_t last) {
   if (telem_shard_timing_) {
     EmitShardTiming(first, last - first, t0);
   }
-}
-
-void TapEngine::RunShardPass1(uint32_t shard) {
-  // A cut member's kCutPass1 (cut members never range-split: the cut
-  // threshold already bounds their sections). It reads levels, frozen until
-  // phase B, and writes only this shard's want_ and group slices, so any
-  // ticket interleaving is race-free.
-  std::fill(group_base_ + shard_group_begin_[shard], group_base_ + shard_group_begin_[shard + 1],
-            0.0);
-  DemandPass(shard, shard_plan_begin_[shard], shard_plan_begin_[shard + 1], group_base_,
-             plan_group_.data());
 }
 
 inline void TapEngine::DemandPass(uint32_t shard, uint32_t begin, uint32_t end,
@@ -1120,7 +1096,7 @@ inline void TapEngine::DemandPass(uint32_t shard, uint32_t begin, uint32_t end,
   }
 }
 
-template <bool kConstrainedOnly, bool kBoundaryLanes>
+template <bool kConstrainedOnly, bool kParkCuts>
 Quantity TapEngine::TransferPass(uint32_t shard, uint32_t begin, uint32_t end) {
   TraceRing* const tap_trace =
       telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
@@ -1132,7 +1108,7 @@ Quantity TapEngine::TransferPass(uint32_t shard, uint32_t begin, uint32_t end) {
   const uint32_t* const src_slot = plan_src_.data();
   const uint32_t* const dst_slot = plan_dst_.data();
   const uint32_t* const group_of = plan_group_.data();
-  Quantity* const lanes = kBoundaryLanes ? boundary_.amounts() : nullptr;
+  Quantity* const cut_moved = kParkCuts ? cut_moved_.data() : nullptr;
   std::vector<uint32_t>& active = decay_active_[shard];
   const uint32_t tb = shard_want_begin_[shard] - shard_plan_begin_[shard];
   Quantity flow = 0;
@@ -1149,8 +1125,8 @@ Quantity TapEngine::TransferPass(uint32_t shard, uint32_t begin, uint32_t end) {
     if (moved <= 0) {
       continue;
     }
-    if (kBoundaryLanes && entry_cut_lane_[i] != kNoCut) {
-      lanes[entry_cut_lane_[i]] = moved;  // Settlement deposits it at the batch boundary.
+    if (kParkCuts && entry_cut_[i] != kNoCut) {
+      cut_moved[entry_cut_[i]] = moved;  // The parent's settlement deposits it.
     } else if (DepositRelists(lvl, dep, rflags, dst_slot[i], moved)) {
       active.push_back(dst_slot[i]);
     }
@@ -1178,15 +1154,13 @@ bool TapEngine::GroupFits(uint32_t group, const Quantity* lvl) const {
 
 inline void TapEngine::FinishShard(uint32_t shard, Quantity tap_flow, TraceRing* ring) {
   const DecayResult dr = decay_.enabled ? DecayShard(shard) : DecayResult{};
-  // In-unit sink settlement (decay_to_shard_root): the sink is this shard's
-  // smallest-id energy reserve and nothing else touches it during the batch,
-  // so depositing here, right after the shard's decay slice, is exactly the
-  // merge's deposit moved earlier — integer adds in the same order per sink.
-  // A cut member's sink is shared by its parent's members; the merge settles
-  // it.
-  Reserve* const sink = decay_to_root_ && dr.leak > 0 && shard_cut_parent_[shard] == kNoCut
-                            ? shard_sink_[shard]
-                            : nullptr;
+  // In-ticket sink settlement (decay_to_shard_root): the sink is the
+  // smallest-id energy reserve of this shard (of its cut parent, for a cut
+  // member), only this ticket touches it during the batch, and it never
+  // decays itself, so depositing here, right after the shard's decay slice,
+  // is exactly the merge's deposit moved earlier — integer adds in the same
+  // order per sink (a cut parent's members finish in ascending shard order).
+  Reserve* const sink = decay_to_root_ && dr.leak > 0 ? shard_sink_[shard] : nullptr;
   scratch_[shard] = ShardScratch{tap_flow, sink != nullptr ? 0 : dr.leak, dr.flow, dr.stray};
   if (ring != nullptr && telem_shard_batch_) {
     ring->Emit(telem_->time_us(), RecordKind::kShardBatch, shard, 0, 0, tap_flow, dr.flow);
@@ -1385,62 +1359,92 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
   FinishShard(shard, flow, WorkerRing());
 }
 
-void TapEngine::ClassifyCutParents() {
-  // Serial, between the phases. A boundary deposit can be deferred to the
-  // batch boundary iff nothing in the destination's sub-shard could observe
-  // the destination's level during pass 2 — and the only pass-2 observer of
-  // a level is the demand group sourced at it (its proportional scale and
-  // its clamp). The range split's unconstrained test — total demand provably
-  // within the opening level — proves scale == 1 and no clamp no matter when
-  // the deposit lands, so deferral is invisible. Any unsafe cut arms the
-  // whole parent's fused fallback: its pass 2 replays serially in tap-id
-  // order, the uncut engine's exact schedule. The group totals read here are
-  // whole-batch sums: cut members' phase-B decrements have not run yet.
-  const Quantity* const lvl = rbank_.levels();
-  const auto np = static_cast<uint32_t>(cut_parents_.size());
-  for (uint32_t p = 0; p < np; ++p) {
-    uint8_t fused = 0;
-    for (uint32_t c = parent_cut_begin_[p]; c < parent_cut_begin_[p + 1]; ++c) {
-      const uint32_t g = cuts_[c].dst_group;
-      // kNoCut: the destination sources no taps, so deferral is invisible.
-      if (g != kNoCut && !GroupFits(g, lvl)) {
-        fused = 1;
-        break;
-      }
-    }
-    parent_fused_[p] = fused;
-  }
-}
-
-void TapEngine::RunCutPass2(uint32_t shard) {
+void TapEngine::RunCutParent(uint32_t parent) {
+  // One cut component, start to finish: the uncut engine's batch for it,
+  // step by step, with every member a sub-shard of its own slices. Members
+  // never range-split, so each demand pass is the whole-shard one.
   const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
-  if (parent_fused_[shard_cut_parent_[shard]] != 0) {
-    // A cut destination in this parent was constrained: the serial fused
-    // fallback replays the whole parent's pass 2 at settlement instead,
-    // accumulating this shard's flow from zero.
-    scratch_[shard].tap_flow = 0;
-    return;
+  TraceRing* const ring = WorkerRing();
+  const uint32_t* const members = parent_shards_.data() + parent_shard_begin_[parent];
+  const uint32_t nm = parent_shard_begin_[parent + 1] - parent_shard_begin_[parent];
+  for (uint32_t j = 0; j < nm; ++j) {
+    const uint32_t s = members[j];
+    std::fill(group_base_ + shard_group_begin_[s], group_base_ + shard_group_begin_[s + 1], 0.0);
+    DemandPass(s, shard_plan_begin_[s], shard_plan_begin_[s + 1], group_base_, plan_group_.data());
   }
-  // Zero this sub-shard's lane slice (padding included) — each lane's sole
-  // writer is one boundary entry of this shard.
-  Quantity* const lanes = boundary_.amounts();
-  std::fill(lanes + shard_lane_begin_[shard], lanes + shard_lane_begin_[shard + 1], Quantity{0});
-  // The whole-shard pass 2, except boundary entries park the moved amount in
-  // their lane instead of depositing cross-shard; everything else this loop
-  // writes (source levels, intra-shard destinations, the decay list) is
-  // owned by this sub-shard.
-  scratch_[shard].tap_flow =
-      TransferPass<false, true>(shard, shard_plan_begin_[shard], shard_plan_begin_[shard + 1]);
+  // A boundary deposit can be deferred past the members' pass 2 iff nothing
+  // in the destination's sub-shard could observe the destination's level
+  // during it — and the only pass-2 observer of a level is the demand group
+  // sourced at it (its proportional scale and its clamp). GroupFits — total
+  // demand provably within the opening level — proves scale == 1 and no
+  // clamp no matter when the deposit lands, so deferral is invisible. Any
+  // unsafe cut makes the whole parent replay its pass 2 serially in tap-id
+  // order, the uncut engine's exact schedule.
+  Quantity* const lvl = rbank_.levels();
+  const uint32_t cb = parent_cut_begin_[parent];
+  const uint32_t ce = parent_cut_begin_[parent + 1];
+  uint8_t fused = 0;
+  for (uint32_t c = cb; c < ce; ++c) {
+    const uint32_t g = cuts_[c].dst_group;
+    // kNoCut: the destination sources no taps, so deferral is invisible.
+    if (g != kNoCut && !GroupFits(g, lvl)) {
+      fused = 1;
+      break;
+    }
+  }
+  parent_fused_[parent] = fused;
+  Quantity settled = 0;
+  uint32_t applied = 0;
+  if (fused != 0) {
+    for (uint32_t j = 0; j < nm; ++j) {
+      scratch_[members[j]].tap_flow = 0;
+    }
+    RunFusedParent(parent, &settled, &applied);
+  } else {
+    // Each member's pass 2 with its boundary moves parked, then the parked
+    // moves deposited in fixed cut order (parent, tap id): a fixed function
+    // of the plan, like the split reduction.
+    Quantity* const moved = cut_moved_.data();
+    std::fill(moved + cb, moved + ce, Quantity{0});
+    for (uint32_t j = 0; j < nm; ++j) {
+      const uint32_t s = members[j];
+      scratch_[s].tap_flow =
+          TransferPass<false, true>(s, shard_plan_begin_[s], shard_plan_begin_[s + 1]);
+    }
+    Quantity* const dep = rbank_.deposited();
+    uint8_t* const rflags = rbank_.flags();
+    for (uint32_t c = cb; c < ce; ++c) {
+      const BoundaryCut& cut = cuts_[c];
+      const Quantity m = moved[c];
+      if (m <= 0) {
+        continue;
+      }
+      if (DepositRelists(lvl, dep, rflags, cut.dst_slot, m)) {
+        decay_active_[cut.dst_shard].push_back(cut.dst_slot);
+      }
+      settled += m;
+      ++applied;
+    }
+  }
+  // Member decay after the settlement, matching the uncut engine where a
+  // component's decay sees every tap deposit of the batch.
+  for (uint32_t j = 0; j < nm; ++j) {
+    FinishShard(members[j], scratch_[members[j]].tap_flow, ring);
+  }
   if (telem_shard_timing_) {
-    EmitShardTiming(shard, 1, t0);
+    EmitShardTiming(members[0], nm, t0);
+  }
+  if (telem_boundary_ && ring != nullptr) {
+    ring->Emit(telem_->time_us(), RecordKind::kBoundarySettle, cut_parents_[parent],
+               static_cast<uint16_t>(nm), fused != 0 ? kBoundarySettleFused : 0, settled, applied);
   }
 }
 
 void TapEngine::RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* applied) {
   // The uncut engine's exact pass 2 for one parent component: every member
   // entry in ascending tap-id order, direct deposits, running group-demand
-  // decrements. The parent's group totals are untouched (its kCutPass2
-  // tickets returned without running), so proportional shares under a
+  // decrements. The parent's group totals are untouched (none of its
+  // members' transfer passes ran), so proportional shares under a
   // constrained cut destination come out bit-identical to the uncut engine.
   TraceRing* const tap_trace =
       telem_taps_ ? telem_->ring(ShardExecutor::current_worker_slot()) : nullptr;
@@ -1469,58 +1473,13 @@ void TapEngine::RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* app
     }
     ttrans[ti] += moved;
     scratch_[s].tap_flow += moved;
-    if (entry_cut_lane_[i] != kNoCut) {
+    if (entry_cut_[i] != kNoCut) {
       *settled += moved;
       ++*applied;
     }
     if (tap_trace != nullptr) {
       tap_trace->Emit(telem_->time_us(), RecordKind::kTapTransfer, i,
                       static_cast<uint16_t>(s & 0xffff), 0, moved, 0);
-    }
-  }
-}
-
-void TapEngine::SettleCutParents() {
-  // Serial, at the batch boundary: parents in ascending index, cuts in
-  // ascending tap id within a parent — a fixed order independent of worker
-  // count and ticket interleaving, so the settlement (like the split
-  // reduction) is part of the plan, not of the execution. Member decay runs
-  // after a parent's settlement, matching the uncut engine where a
-  // component's decay sees every tap deposit of the batch.
-  Quantity* const lvl = rbank_.levels();
-  Quantity* const dep = rbank_.deposited();
-  uint8_t* const rflags = rbank_.flags();
-  const Quantity* const lanes = boundary_.amounts();
-  TraceRing* const ring = WorkerRing();
-  const auto np = static_cast<uint32_t>(cut_parents_.size());
-  for (uint32_t p = 0; p < np; ++p) {
-    Quantity settled = 0;
-    uint32_t applied = 0;
-    if (parent_fused_[p] != 0) {
-      RunFusedParent(p, &settled, &applied);
-    } else {
-      for (uint32_t c = parent_cut_begin_[p]; c < parent_cut_begin_[p + 1]; ++c) {
-        const BoundaryCut& cut = cuts_[c];
-        const Quantity m = lanes[cut.lane];
-        if (m <= 0) {
-          continue;
-        }
-        if (DepositRelists(lvl, dep, rflags, cut.dst_slot, m)) {
-          decay_active_[cut.dst_shard].push_back(cut.dst_slot);
-        }
-        settled += m;
-        ++applied;
-      }
-    }
-    // Cut members time pass 2 only (their kShardTiming comes from the
-    // kCutPass2 ticket); the batch record is written here.
-    for (uint32_t j = parent_shard_begin_[p]; j < parent_shard_begin_[p + 1]; ++j) {
-      FinishShard(parent_shards_[j], scratch_[parent_shards_[j]].tap_flow, ring);
-    }
-    if (telem_boundary_ && ring != nullptr) {
-      ring->Emit(telem_->time_us(), RecordKind::kBoundarySettle, cut_parents_[p],
-                 static_cast<uint16_t>(parent_shard_begin_[p + 1] - parent_shard_begin_[p]),
-                 parent_fused_[p] != 0 ? kBoundarySettleFused : 0, settled, applied);
     }
   }
 }

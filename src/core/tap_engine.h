@@ -19,16 +19,17 @@
 // not one per component. Units run serially, or on a ShardExecutor worker
 // pool (heaviest first, so one giant component never serializes the tail of
 // a batch). Cross-shard state (flow totals, decay leakage into the battery
-// root or a cut component's shared sink) is accumulated per shard and merged
-// after the batch in shard order; a shard's leakage into its own sink is
-// settled inside its unit. Results are bit-identical to the unsharded engine
-// regardless of worker count.
+// root) is accumulated per shard and merged after the batch in shard order;
+// a shard's leakage into its own sink is settled inside its ticket. Results
+// are bit-identical to the unsharded engine regardless of worker count.
 //
 // One batch pipeline serves every mode (unsharded, sharded, range-split, cut):
-// pass-1 tickets, the serial split reduction and cut classification, pass-2
-// tickets, the serial split finalize and cut settlement, then one fixed-order
-// merge. Unsharded is the one-shard case — a single whole-shard ticket run in
-// the caller.
+// pass-1 tickets, then — only when a shard is range-split — the serial split
+// reduction, pass-2 range tickets and the serial split finalize, then one
+// fixed-order merge. Unsharded is the one-shard case — a single whole-shard
+// ticket run in the caller. A cut component is one pass-1 ticket that runs
+// its members' passes, its boundary settlement and its members' decay in
+// order; cutting bounds sub-shard sizes, it adds no parallelism.
 //
 // Structure-of-arrays state bank: while a plan is live, the hot mutable state
 // of every reserve (level, deposited, decay carry, decay flags) and every
@@ -112,11 +113,13 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
 
   // Articulation-tap component cutting: components with more tap edges than
   // this are cut into bounded sub-shards at bridge taps (the partitioner's
-  // lowest-flow-first cut selection); severed taps drain into per-cut lanes
-  // during the parallel passes and a serial fixed-cut-order settlement
-  // applies the transfers at the batch boundary. 0 (default) disables. Only
-  // meaningful in sharded mode; results stay bit-identical to the uncut
-  // engine at any worker count. Takes effect on the next plan rebuild.
+  // lowest-flow-first cut selection). A cut component runs as one serial
+  // ticket: its members' passes in order, severed taps parked in per-cut
+  // slots and settled in fixed cut order, then its members' decay. Cutting
+  // adds no parallelism; cut members are never range-split. 0 (default)
+  // disables. Only meaningful in sharded mode; results stay bit-identical to
+  // the uncut engine at any worker count. Takes effect on the next plan
+  // rebuild.
   void set_cut_threshold(uint32_t threshold) {
     if (cut_threshold_ != threshold) {
       cut_threshold_ = threshold;
@@ -168,10 +171,14 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
     return stats_[shard].taps + stats_[shard].decay_reserves;
   }
   // The pass-1 ticket table in the order it is handed to the executor: work
-  // units (kWholeShard, shards [shard, shard_end)), split shards' ranges and
-  // cut members, heaviest first, so a giant component starts immediately
-  // instead of serializing the tail of the batch. Results never depend on it.
+  // units (kWholeShard, shards [shard, shard_end)), split shards' ranges
+  // (each weighted by its shard's weight / ranges) and one kCutParent per cut
+  // component (weighted by its members' sum), heaviest first, so a giant
+  // ticket starts immediately instead of serializing the tail of the batch.
+  // Results never depend on it.
   const std::vector<ShardTicket>& pass1_tickets() const { return tickets_pass1_; }
+  // The pass-2 ticket table: the split shards' kPass2Range tickets only.
+  const std::vector<ShardTicket>& pass2_tickets() const { return tickets_pass2_; }
 
   // The partitioner (sharded mode only; null otherwise) — exposes
   // PartitionStats and the cut layout for tools and tests.
@@ -214,9 +221,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void OnObjectDeleted(ObjectId id, ObjectType type) override;
 
   // ShardTask (executor-facing): runs one ticket of the current batch phase —
-  // a whole shard's batch, one range of a split shard's pass, or one pass of
-  // a cut member. Every kind touches only state its shard or range owns, so
-  // any interleaving across workers is race-free.
+  // a work unit's batch, one range of a split shard's pass, or a whole cut
+  // component's batch. Every kind touches only state its shards or range
+  // own, so any interleaving across workers is race-free.
   void RunTicket(const ShardTicket& t) override;
 
   // ReserveDecayListener: a reserve became non-empty (or lost its exemption)
@@ -276,22 +283,16 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void RunPass2Range(uint32_t split, uint32_t range);
   void FinalizeSplitShard(uint32_t split);
   // Articulation-cut plan: detects boundary entries (src and dst sub-shards
-  // differ), builds the per-cut lane layout, the parent member / fused-order
-  // tables, and unifies each cut parent's decay sink. Runs after the shard
-  // tables exist and before BuildSplitPlan (cut members never range-split).
+  // differ), builds the cut table, the parent member / fused-order tables,
+  // and unifies each cut parent's decay sink. Runs after the shard tables
+  // exist and before BuildSplitPlan (cut members never range-split).
   void BuildCutPlan();
-  // The cut execution pipeline (see RunBatch): phase A runs each cut
-  // member's demand pass; the serial classification between the phases
-  // checks every cut destination's demand group against its opening level
-  // (same formula as the range split's group_fast_) and arms the fused
-  // fallback per parent if any deferral is not provably invisible; phase B
-  // runs the transfer passes with boundary entries draining into lanes; the
-  // serial settlement applies lanes in fixed cut order (or runs the fused
-  // parents' pass 2 whole, serially, in tap-id order) and then the members'
-  // decay slices — decay after settlement, exactly like the uncut order.
-  void RunCutPass2(uint32_t shard);
-  void ClassifyCutParents();
-  void SettleCutParents();
+  // A kCutParent ticket: the cut parent's whole batch — its members' demand
+  // passes, the fused-fallback check on the cut destinations (GroupFits),
+  // either the members' transfer passes plus the cut-order settlement or
+  // RunFusedParent (the uncut pass 2 in tap-id order), then the members'
+  // finish in ascending shard order, one kShardTiming and kBoundarySettle.
+  void RunCutParent(uint32_t parent);
   void RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* applied);
   // Copies bank state back into every surviving attached object and detaches
   // it (dead objects miss via their generation-tagged handles). Called before
@@ -301,9 +302,6 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // A kWholeShard ticket: for each shard of the unit in index order, pass 1,
   // pass 2 and the shard's finish; then the unit's one kShardTiming record.
   void RunUnit(uint32_t first, uint32_t last);
-  // A cut member's pass 1 (kCutPass1): zeroes the shard's group_base_ slice
-  // and accumulates its demand there. RunUnit does the same inline.
-  void RunShardPass1(uint32_t shard);
   // The pass-1 loop over plan entries [begin, end) of `shard`: each enabled
   // tap's want goes to want_ and is added to demand[slot_of[i]] — the
   // shard's group totals (slot_of = plan_group_) or a range's private lane
@@ -312,19 +310,18 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
                   const uint32_t* slot_of);
   // The pass-2 loop over plan entries [begin, end) of `shard` in plan order;
   // returns the flow moved. kConstrainedOnly skips unconstrained groups' entries
-  // (a split shard's serial tail: its pass-2 ranges ran those);
-  // kBoundaryLanes parks cut entries' moves in their boundary lanes (a cut
-  // member's kCutPass2).
-  template <bool kConstrainedOnly, bool kBoundaryLanes>
+  // (a split shard's serial tail: its pass-2 ranges ran those); kParkCuts
+  // parks boundary entries' moves in their cut_moved_ slots (a cut member).
+  template <bool kConstrainedOnly, bool kParkCuts>
   Quantity TransferPass(uint32_t shard, uint32_t begin, uint32_t end);
   // A group whose total demand provably fits its source's opening level:
   // scale == 1 and no clamp for each of its entries in any execution order.
   bool GroupFits(uint32_t group, const Quantity* lvl) const;
   // The end of one shard's batch: the decay slice, the shard's whole scratch
   // (tap_flow is the flow its tap passes moved), its kShardBatch record, and
-  // — with decay_to_shard_root, unless the shard is a cut member — the
-  // deposit of its leakage into its own sink. `ring` is the calling worker's
-  // ring (null: no records).
+  // — with decay_to_shard_root — the deposit of its leakage into its sink
+  // (a cut member's is its parent's shared sink). `ring` is the calling
+  // worker's ring (null: no records).
   void FinishShard(uint32_t shard, Quantity tap_flow, TraceRing* ring);
   struct DecayResult {
     Quantity flow = 0;
@@ -441,9 +438,8 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<uint32_t> shard_group_count_;   // Used (unpadded) groups per shard.
   std::vector<uint32_t> split_slow_entries_;  // Per split slot, set each batch.
   // Ticket tables handed to the executor: pass 1 covers every shard (range
-  // tickets for split shards, kCutPass1 for cut members, work units
-  // otherwise) heaviest first; pass 2 covers only split shards' ranges and
-  // cut members.
+  // tickets for split shards, one kCutParent per cut parent, work units
+  // otherwise) heaviest first; pass 2 covers only split shards' ranges.
   std::vector<ShardTicket> tickets_pass1_;
   std::vector<ShardTicket> tickets_pass2_;
   // Rebuild-only scratch for BuildSplitPlan (stamp maps over groups/slots).
@@ -456,20 +452,18 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // -- Articulation cuts (bounded shard sizes, epoch-batched boundaries) --------
   // Built with the plan when the partitioner severed bridge taps. A "cut
   // parent" densely numbers the pre-cut components that have at least one
-  // live boundary entry; its member sub-shards run kCutPass1/kCutPass2
-  // tickets and settle serially at the batch boundary. cuts_ is ordered by
-  // (parent, tap id) — the settlement order — with parent_cut_begin_ the CSR
-  // over it. Each cut owns one BoundaryBank lane (entry_cut_lane_ maps plan
-  // entries; kNoCut for non-boundary entries), lanes grouped by source
-  // sub-shard with the groups cache-line padded (shard_lane_begin_), so a
-  // pass-2 ticket is the sole writer of its slice. The fused tables hold
-  // every entry of each cut parent in ascending tap-id order with src/dst
-  // sub-shard per entry — the serial fallback replays the uncut pass 2
-  // exactly when a cut destination's group is constrained.
+  // live boundary entry; its member sub-shards run in its one kCutParent
+  // ticket. cuts_ is ordered by (parent, tap id) — the settlement order —
+  // with parent_cut_begin_ the CSR over it; entry_cut_ maps plan entries to
+  // their cut index (kNoCut for non-boundary entries), and cut_moved_[c] is
+  // the amount cut c moved this batch (its parent's ticket is the only
+  // writer). The fused tables hold every entry of each cut parent in
+  // ascending tap-id order with src/dst sub-shard per entry — the serial
+  // fallback replays the uncut pass 2 exactly when a cut destination's group
+  // is constrained.
   static constexpr uint32_t kNoCut = UINT32_MAX;
   struct BoundaryCut {
     uint32_t entry = 0;      // Dense plan-entry index of the severed tap.
-    uint32_t lane = 0;       // BoundaryBank slot (single writer: its entry).
     uint32_t dst_slot = 0;   // Destination reserve bank slot.
     uint32_t dst_shard = 0;  // Destination sub-shard (for decay re-adds).
     uint32_t dst_group = 0;  // Demand group sourced at the destination, or
@@ -482,9 +476,8 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<uint32_t> parent_shards_;       // Member sub-shards, ascending.
   std::vector<uint32_t> parent_shard_begin_;  // CSR over parent_shards_.
   std::vector<uint32_t> shard_cut_parent_;    // shard -> dense parent or kNoCut.
-  std::vector<uint32_t> entry_cut_lane_;
-  std::vector<uint32_t> shard_lane_begin_;
-  BoundaryBank boundary_;
+  std::vector<uint32_t> entry_cut_;
+  std::vector<Quantity> cut_moved_;
   std::vector<uint32_t> fused_entries_;
   std::vector<uint32_t> fused_src_shard_;
   std::vector<uint32_t> fused_dst_shard_;
@@ -521,7 +514,7 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   bool decay_to_root_ = false;
 
   // Rebuild-only scratch (kept to reuse capacity across rebuilds).
-  struct WorkItem {  // BuildTicketTables: a unit, split shard or cut member.
+  struct WorkItem {  // BuildTicketTables: a unit, split shard or cut parent.
     uint32_t weight;
     uint32_t begin;  // Shards [begin, end).
     uint32_t end;

@@ -8,9 +8,9 @@
 // three pool threads and ShardExecutor(1) (or 0) runs everything serially in
 // the caller with no threads at all.
 //
-// RunTickets is the only entry point: a table of heterogeneous tickets
-// (whole shards, intra-shard ranges, cut-member passes) in the caller's
-// priority order. Determinism does not depend on the worker count: callers
+// RunTickets is the only entry point: a table of heterogeneous tickets (work
+// units of whole shards, intra-shard ranges, whole cut components) in the
+// caller's priority order. Determinism does not depend on the worker count: callers
 // hand the pool tickets that touch disjoint state and do any cross-shard
 // merging themselves, after RunTickets returns, in a fixed order.
 #pragma once

@@ -12,13 +12,14 @@
 // edges than the threshold is cut into sub-shards of bounded size by severing
 // bridge taps — taps whose removal disconnects the component. Severed taps
 // become *boundary taps*: the tap engine runs them in their source's
-// sub-shard but defers the cross-shard deposit into a per-cut lane, applied
-// in a serial fixed-cut-order settlement at the batch boundary, so sub-shards
-// stay race-free and results stay bit-identical to the uncut engine (see
-// docs/PERFORMANCE.md "PR 10"). Cut selection severs the lowest-flow bridges
-// first and refuses cuts that would strand a tiny side (min side below half
-// the threshold), so a pure fan-out star — every edge a bridge, but every cut
-// useless — is never shredded; the range split handles those instead. An
+// sub-shard but parks the cross-shard deposit in a per-cut slot, settled in
+// fixed cut order once every member's pass 2 has run, so results stay
+// bit-identical to the uncut engine (docs/PERFORMANCE.md, articulation-tap
+// component cutting). The members of one cut component run as one serial
+// ticket. Cut selection severs the lowest-flow bridges first and refuses
+// cuts that would strand a tiny side (min side below half the threshold),
+// so a pure fan-out star — every edge a bridge, but every cut useless — is
+// never shredded; the range split handles those instead. An
 // edge counts toward the side holding its *source* reserve, which is exactly
 // the plan-section size the engine will build, so the bound is the real one.
 //

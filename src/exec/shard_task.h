@@ -14,25 +14,24 @@ namespace cinder {
 // tiny components cost a handful of tickets; the range kinds subdivide a
 // single oversized shard's tap passes into contiguous plan-entry ranges that
 // touch disjoint scratch lanes, so a giant component can occupy every worker
-// instead of one.
+// instead of one. A cut component (see ShardPartitioner cut selection) is one
+// serial ticket: cutting bounds its sub-shards' sizes, it does not spread the
+// component across workers.
 enum class ShardTicketKind : uint8_t {
   kWholeShard = 0,  // Shards [shard, shard_end), one after another.
   kPass1Range = 1,  // Demand pass over [range) into a private lane slice.
   kPass2Range = 2,  // Transfer pass over the range's unconstrained entries.
-  // Sub-shards of a cut component (see ShardPartitioner cut selection) run
-  // their two tap passes as separate phases so the serial settlement between
-  // phase B and the merge can apply boundary-tap transfers in cut order:
-  kCutPass1 = 3,  // Demand pass of one whole sub-shard.
-  kCutPass2 = 4,  // Transfer pass; boundary deposits drain into lanes.
+  kCutParent = 3,   // Every member sub-shard of one cut component, in order.
 };
 
 // One claimable unit of batch work. `shard` is the (first) shard it runs; a
 // kWholeShard ticket's unit ends before `shard_end`. The range kinds carry
-// the producer's dense split-slot index (`split`, its table of split shards)
-// and the range number within it.
+// the producer's dense split-slot index in `slot` (its table of split
+// shards) and the range number within it; kCutParent carries the dense
+// cut-parent index in `slot`.
 struct ShardTicket {
   uint32_t shard = 0;
-  uint32_t split = 0;
+  uint32_t slot = 0;
   uint32_t range = 0;
   ShardTicketKind kind = ShardTicketKind::kWholeShard;
   uint32_t shard_end = 0;
@@ -41,8 +40,8 @@ struct ShardTicket {
 // One batch phase's worth of shardable work, handed over as a ticket table.
 // RunTicket is called exactly once per ticket per ShardExecutor::RunTickets
 // call, from any worker, in any interleaving. A ticket must touch only state
-// its shard (or, for range kinds, its range: private lanes and its slice of
-// the per-entry arrays) owns, so the interleaving is race-free and the
+// its shards (or, for range kinds, its range: private lanes and its slice of
+// the per-entry arrays) own, so the interleaving is race-free and the
 // producer's fixed-order reduction after the phase alone defines the result.
 class ShardTask {
  public:

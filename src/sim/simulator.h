@@ -57,16 +57,17 @@ struct ExecConfig {
   // tap_workers >= 1.
   uint32_t tap_split_threshold = 4096;
   uint32_t tap_split_ranges = 8;
-  // Articulation-tap component cutting (PR 10): a connected component with
-  // more tap edges than this is cut at its lowest-flow bridge taps into
-  // sub-shards of bounded size; the severed taps settle through per-cut
-  // lanes in a serial fixed-order phase at each batch boundary, so results
-  // stay bit-identical to the uncut engine at any worker count
-  // (docs/PERFORMANCE.md "PR 10"). 0 (the default) disables cutting.
-  // Complements tap_split_threshold: the range split parallelizes wide
-  // components (fan-outs), cutting parallelizes deep ones (chains) the
-  // ranges cannot help because their demand groups straddle everything.
-  // Only meaningful with sharding (tap_workers >= 1 or decay_to_shard_root).
+  // Articulation-tap component cutting: a connected component with more tap
+  // edges than this is cut at its lowest-flow bridge taps into sub-shards of
+  // bounded size. The cut component still runs as one serial ticket — its
+  // members in order, the severed taps settled in fixed cut order inside it
+  // — so results stay bit-identical to the uncut engine at any worker count.
+  // Cutting buys no parallelism: the cut component occupies one worker, like
+  // the uncut one. What it does change is that a deep chain is no longer
+  // range-split (cut members never are), which is its only measured effect
+  // (docs/PERFORMANCE.md, articulation-tap component cutting). 0 (the
+  // default) disables cutting. Only meaningful with sharding (tap_workers >= 1
+  // or decay_to_shard_root).
   uint32_t shard_cut_threshold = 0;
   // K-quanta scheduler run plans (PR 9): Run/RunUntil precompute the pick
   // sequence for up to this many quanta at a time and replay it without

@@ -32,6 +32,7 @@ void LiveAggregator::Reset() {
   sched_plan_builds_ = 0;
   frames_ = 0;
   records_seen_ = 0;
+  corrupt_records_ = 0;
   ring_dropped_ = 0;
   shards_.clear();
   workers_.clear();
@@ -93,6 +94,10 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
   }
   switch (static_cast<RecordKind>(r.kind)) {
     case RecordKind::kShardBatch: {
+      if (IsCorruptShardRecord(r)) {
+        ++corrupt_records_;
+        break;
+      }
       ShardLive& s = ShardAt(r.actor);
       ++s.batches;
       ++s.window_batches;
@@ -107,6 +112,10 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
       break;
     }
     case RecordKind::kPlanShard: {
+      if (IsCorruptShardRecord(r)) {
+        ++corrupt_records_;
+        break;
+      }
       ShardLive& s = ShardAt(r.actor);
       s.taps = static_cast<uint32_t>(r.v0);
       s.decay_reserves = static_cast<uint32_t>(r.v1);

@@ -110,6 +110,9 @@ class LiveAggregator : public TraceSink {
   uint64_t SchedPlanBuilds() const { return sched_plan_builds_; }
   uint64_t frames() const { return frames_; }
   uint64_t records_seen() const { return records_seen_; }
+  // Records skipped as corrupt (IsCorruptShardRecord); records_seen() and
+  // the window record counts include them, no flow or shard query does.
+  uint64_t corrupt_records() const { return corrupt_records_; }
   // Cumulative ring-overwrite drops as stamped into the latest frame mark.
   uint64_t ring_dropped() const { return ring_dropped_; }
 
@@ -187,6 +190,7 @@ class LiveAggregator : public TraceSink {
   uint64_t sched_plan_builds_ = 0;
   uint64_t frames_ = 0;
   uint64_t records_seen_ = 0;
+  uint64_t corrupt_records_ = 0;
   uint64_t ring_dropped_ = 0;
 
   std::vector<ShardLive> shards_;

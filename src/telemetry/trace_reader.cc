@@ -26,7 +26,12 @@ void TraceReader::Index() {
   fused_settles_ = 0;
   frames_ = 0;
   ring_dropped_ = 0;
+  corrupt_records_ = 0;
   for (const TraceRecord& r : records_) {
+    if (IsCorruptShardRecord(r)) {
+      ++corrupt_records_;
+      continue;
+    }
     if (r.kind < kNumKinds) {
       ++kind_counts_[r.kind];
     }
@@ -138,6 +143,9 @@ std::vector<TraceReader::ShardFlow> TraceReader::FlowByShard() const {
     return by_shard[shard];
   };
   for (const TraceRecord& r : records_) {
+    if (IsCorruptShardRecord(r)) {
+      continue;
+    }
     if (IsKind(r, RecordKind::kShardBatch)) {
       ShardFlow& s = at(r.actor);
       ++s.batches;
@@ -175,7 +183,7 @@ std::vector<TraceReader::TimelinePoint> TraceReader::ShardTimeline(uint32_t shar
       pending_from = out.size();
       continue;
     }
-    if (!IsKind(r, RecordKind::kShardBatch) || r.actor != shard) {
+    if (!IsKind(r, RecordKind::kShardBatch) || r.actor != shard || IsCorruptShardRecord(r)) {
       continue;
     }
     cum_tap += r.v0;

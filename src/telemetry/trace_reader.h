@@ -45,9 +45,11 @@ class TraceReader {
   uint64_t spill_dropped() const { return dropped_ - ring_dropped_; }
   // True when LoadFile detected an incomplete stream (see LoadFile).
   bool truncated() const { return truncated_; }
-  // A provably complete stream: nothing dropped, nothing truncated — the
+  // Records skipped as corrupt (IsCorruptShardRecord): no query counts them.
+  uint64_t corrupt_records() const { return corrupt_records_; }
+  // A provably complete stream: nothing dropped, truncated or corrupt — the
   // precondition for bit-for-bit cross-checks against engine counters.
-  bool complete() const { return !truncated_ && dropped_ == 0; }
+  bool complete() const { return !truncated_ && dropped_ == 0 && corrupt_records_ == 0; }
   uint32_t writer_count() const { return writer_count_; }
   // Per-kind record counts, indexed by RecordKind.
   const std::vector<uint64_t>& kind_counts() const { return kind_counts_; }
@@ -162,6 +164,7 @@ class TraceReader {
   uint64_t dropped_ = 0;
   uint64_t ring_dropped_ = 0;
   bool truncated_ = false;
+  uint64_t corrupt_records_ = 0;
   uint32_t writer_count_ = 0;
 };
 

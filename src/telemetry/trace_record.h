@@ -85,8 +85,9 @@ enum class RecordKind : uint8_t {
   // Volume is O(builds), so it stays in the default mask.
   kSchedPlanBuild = 14,
   // One per cut parent component per batch (sharded mode with articulation
-  // cuts): actor = parent component index, v0 = boundary nJ settled at the
-  // batch boundary, v1 = boundary taps settled (lanes applied),
+  // cuts), written by the parent's ticket after its members' pass 2:
+  // actor = parent component index, v0 = boundary nJ settled, v1 = boundary
+  // taps settled (lanes applied),
   // aux = member sub-shards, flags = kBoundarySettleFused when the parent
   // fell back to the fused serial pass-2 (a cut destination's demand group
   // was constrained, so deferral was not provably invisible). Volume is
@@ -138,6 +139,18 @@ struct TraceRecord {
   uint16_t aux = 0;
 };
 static_assert(sizeof(TraceRecord) == 32, "records are fixed 32-byte binary");
+
+// Readers keep per-shard state in tables indexed by a record's shard (the
+// actor of kShardBatch / kPlanShard). A shard index at or past this bound —
+// ten times the largest fleet the examples advertise — marks the record as
+// corrupt: readers count and skip it, so a flipped bit in a trace file can
+// never size an allocation.
+inline constexpr uint32_t kMaxTraceShards = 1u << 20;
+inline bool IsCorruptShardRecord(const TraceRecord& r) {
+  return (r.kind == static_cast<uint8_t>(RecordKind::kShardBatch) ||
+          r.kind == static_cast<uint8_t>(RecordKind::kPlanShard)) &&
+         r.actor >= kMaxTraceShards;
+}
 
 // The shards one kShardTiming record covers: v1, where 0 (a trace written
 // before work units, when every record timed one shard) counts as 1.

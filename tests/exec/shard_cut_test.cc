@@ -334,14 +334,16 @@ TEST(ShardCutTest, EveryTicketKindFinishesEachShardOnce) {
 
 // The work-unit contract. Many 3-tap phones (packed into several units) share
 // one engine with a range-split fan-out, a lane-settled cut chain and a
-// fused constrained chain, decay routed to shard roots (phones and the split
-// star settle their sinks inside their own work item, cut members in the
-// merge). Per batch: exactly one kShardBatch per shard; one kDispatch per
-// pooled ticket — a work unit, a range, or a cut member's pass — and none
-// without a pool; one kShardTiming record per unit, whose shard count (v1)
-// is the unit's, so the units' records cover every whole shard once.
-// Results stay bit-identical to the uncut sharded-serial reference at every
-// worker count.
+// fused constrained chain, decay routed to shard roots (every shard settles
+// its sink inside its own ticket; a cut member's is its parent's shared
+// sink). The tables: one kCutParent pass-1 ticket per cut parent, and a
+// pass-2 table that holds only the split shard's ranges. Per batch: exactly
+// one kShardBatch per shard; one kDispatch per pooled ticket — a work unit,
+// a range pass, or a cut parent — and none without a pool; one kShardTiming
+// record per unit and per cut parent, whose shard count (v1) is the unit's
+// or the parent's member count, so the records cover every non-split shard
+// once. Results stay bit-identical to the uncut sharded-serial reference at
+// every worker count.
 TEST(ShardUnitTest, UnitsRangesAndCutsEachRunEveryShardOnce) {
   constexpr int kBatches = 60;
   constexpr int kPhones = 500;
@@ -399,24 +401,47 @@ TEST(ShardUnitTest, UnitsRangesAndCutsEachRunEveryShardOnce) {
     ASSERT_EQ(engine.cut_parent_count(), 2u) << label;
     uint64_t units = 0;
     uint64_t unit_shards = 0;
-    uint64_t cut_members = 0;
-    uint64_t pooled_tickets = 0;  // Per batch, both passes.
+    uint64_t pass1_ranges = 0;
+    std::vector<uint32_t> cut_tickets(engine.cut_parent_count(), 0);  // By parent.
     std::vector<uint32_t> unit_size(shards, 0);  // By first shard; 0 = no unit starts there.
+    std::vector<uint8_t> cut_first(shards, 0);   // A cut parent's ticket starts there.
     for (const ShardTicket& t : engine.pass1_tickets()) {
-      if (t.kind == ShardTicketKind::kWholeShard) {
-        ++units;
-        unit_shards += t.shard_end - t.shard;
-        unit_size[t.shard] = t.shard_end - t.shard;
-        ++pooled_tickets;
-      } else {
-        pooled_tickets += 2;  // Ranges and cut members run both passes.
-        cut_members += t.kind == ShardTicketKind::kCutPass1 ? 1 : 0;
+      ASSERT_LT(t.shard, shards) << label;
+      switch (t.kind) {
+        case ShardTicketKind::kWholeShard:
+          ++units;
+          unit_shards += t.shard_end - t.shard;
+          unit_size[t.shard] = t.shard_end - t.shard;
+          break;
+        case ShardTicketKind::kPass1Range:
+          ++pass1_ranges;
+          break;
+        case ShardTicketKind::kCutParent:
+          ASSERT_LT(t.slot, cut_tickets.size()) << label;
+          ++cut_tickets[t.slot];
+          cut_first[t.shard] = 1;
+          break;
+        default:
+          ADD_FAILURE() << label << ": pass-2 kind in the pass-1 table";
       }
     }
+    // Exactly one serial ticket per cut parent.
+    EXPECT_EQ(std::count(cut_tickets.begin(), cut_tickets.end(), 1u),
+              static_cast<std::ptrdiff_t>(cut_tickets.size()))
+        << label;
+    // Pass 2 is the split star's ranges and nothing else.
+    for (const ShardTicket& t : engine.pass2_tickets()) {
+      EXPECT_EQ(t.kind, ShardTicketKind::kPass2Range) << label;
+    }
+    EXPECT_EQ(engine.pass2_tickets().size(), pass1_ranges) << label;
+    ASSERT_GE(pass1_ranges, 2u) << label;
     // Every shard is in a unit except the split star and the cut members.
-    EXPECT_EQ(unit_shards + split_shards + cut_members, shards) << label;
+    const uint64_t cut_members = shards - unit_shards - split_shards;
+    ASSERT_GE(cut_members, 2u * engine.cut_parent_count()) << label;
     ASSERT_GE(units, 3u) << label << ": the phones should pack into several units";
     ASSERT_LT(units, static_cast<uint64_t>(kPhones) / 10) << label;
+    const uint64_t pooled_tickets =  // Per batch, both passes.
+        units + 2 * pass1_ranges + engine.cut_parent_count();
 
     std::vector<uint32_t> seen(shards, 0);
     uint64_t frames = 0;
@@ -426,17 +451,25 @@ TEST(ShardUnitTest, UnitsRangesAndCutsEachRunEveryShardOnce) {
     uint64_t dispatches = 0;
     uint64_t unit_timings = 0;
     uint64_t timed_shards = 0;
+    uint64_t cut_timings = 0;
+    uint64_t timed_members = 0;
     domain.ForEachSpilled([&](const TraceRecord& r) {
       switch (static_cast<RecordKind>(r.kind)) {
         case RecordKind::kFrameMark:
           ++frames;
           bad_batch_frames += std::count(seen.begin(), seen.end(), 1u) == shards ? 0 : 1;
           bad_dispatch_frames += dispatches == (workers >= 2 ? pooled_tickets : 0) ? 0 : 1;
-          bad_timing_frames += unit_timings == units && timed_shards == unit_shards ? 0 : 1;
+          bad_timing_frames += unit_timings == units && timed_shards == unit_shards &&
+                                       cut_timings == engine.cut_parent_count() &&
+                                       timed_members == cut_members
+                                   ? 0
+                                   : 1;
           seen.assign(shards, 0);
           dispatches = 0;
           unit_timings = 0;
           timed_shards = 0;
+          cut_timings = 0;
+          timed_members = 0;
           break;
         case RecordKind::kShardBatch:
           ASSERT_LT(r.actor, shards);
@@ -447,14 +480,16 @@ TEST(ShardUnitTest, UnitsRangesAndCutsEachRunEveryShardOnce) {
           break;
         case RecordKind::kShardTiming:
           // A unit's record (actor = its first shard) covers its shards; a
-          // cut member's pass-2 record covers that one member.
+          // cut parent's (actor = its first member) covers its members.
           ASSERT_LT(r.actor, shards);
           if (unit_size[r.actor] != 0) {
             ++unit_timings;
             EXPECT_EQ(TimedShards(r), unit_size[r.actor]) << label;
             timed_shards += TimedShards(r);
           } else {
-            EXPECT_EQ(TimedShards(r), 1u) << label;
+            EXPECT_EQ(cut_first[r.actor], 1u) << label << ": a timing record for no ticket";
+            ++cut_timings;
+            timed_members += TimedShards(r);
           }
           break;
         default:

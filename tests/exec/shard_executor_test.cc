@@ -189,7 +189,7 @@ TEST(ShardExecutorTest, DomainMayDieRightAfterABatch) {
 }
 
 // Tallies tickets by kind: whole-shard tickets count the shard, range
-// tickets count (split, range) cells.
+// tickets count (slot, range) cells.
 class TicketTask : public ShardTask {
  public:
   TicketTask(uint32_t shards, uint32_t cells) : shards_(shards), cells_(cells) {}
@@ -197,7 +197,7 @@ class TicketTask : public ShardTask {
     if (t.kind == ShardTicketKind::kWholeShard) {
       shards_[t.shard].fetch_add(1, std::memory_order_relaxed);
     } else {
-      cells_[t.split * 8 + t.range].fetch_add(1, std::memory_order_relaxed);
+      cells_[t.slot * 8 + t.range].fetch_add(1, std::memory_order_relaxed);
     }
   }
   uint32_t shard_count(uint32_t s) const { return shards_[s].load(std::memory_order_relaxed); }

@@ -6,6 +6,7 @@
 // the flush path, past the executor's happens-before edge).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "src/core/tap_engine.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/file_stream_sink.h"
+#include "src/telemetry/live_aggregator.h"
 #include "src/telemetry/trace_domain.h"
 #include "src/telemetry/trace_reader.h"
 
@@ -484,6 +486,75 @@ TEST(TraceSinkTest, EveryChopLengthEitherFailsCleanlyOrFlagsTruncation) {
   TraceReader reader;
   ASSERT_TRUE(TraceReader::LoadFile(path, &reader));
   EXPECT_TRUE(reader.complete());
+  std::remove(path.c_str());
+}
+
+TEST(TraceSinkTest, CorruptShardIndexIsCountedAndSkippedNeverAllocated) {
+  // A real sharded fleet stream opens with the plan dump, so record 0 is a
+  // kPlanShard whose actor is shard 0. Flipping any bit of its actor from
+  // bit 20 up (bits 6 and 7 of byte 59 in the file are bits 30 and 31) once
+  // made both readers resize a per-shard table to actor + 1 and abort with
+  // std::bad_alloc. Each mutant must load, count exactly that record as
+  // corrupt, and answer every shard query as if the record were absent.
+  const std::string path = TempPath("corrupt_shard.bin");
+  {
+    SimConfig cfg;
+    cfg.exec.tap_workers = 2;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.stream_path = path;
+    Simulator sim(cfg);
+    Kernel& kernel = sim.kernel();
+    for (int p = 0; p < 20; ++p) {
+      Reserve* pool =
+          kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "pool");
+      pool->Deposit(ToQuantity(Energy::Joules(10.0 + p)));
+      Reserve* app = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "app");
+      Tap* feed = kernel.Create<Tap>(kernel.root_container_id(), Label(Level::k1), "feed",
+                                     pool->id(), app->id());
+      feed->SetConstantPower(Power::Milliwatts(50 + p));
+      ASSERT_TRUE(sim.taps().Register(feed->id()));
+    }
+    sim.Run(Duration::Millis(200));
+  }
+  const std::vector<unsigned char> clean = Slurp(path);
+  const size_t actor_at = sizeof(TraceFileHeader) + offsetof(TraceRecord, actor);
+  ASSERT_GT(clean.size(), actor_at + 4);
+  TraceReader reference;
+  ASSERT_TRUE(TraceReader::LoadFile(path, &reference));
+  ASSERT_EQ(reference.records().front().kind, static_cast<uint8_t>(RecordKind::kPlanShard));
+  ASSERT_EQ(reference.records().front().actor, 0u);
+  ASSERT_EQ(reference.corrupt_records(), 0u);
+  ASSERT_TRUE(reference.complete());
+  const size_t shards = reference.FlowByShard().size();
+  ASSERT_EQ(shards, 20u);
+
+  for (int bit = 20; bit < 32; ++bit) {
+    const std::string label = "actor bit " + std::to_string(bit);
+    std::vector<unsigned char> bytes = clean;
+    bytes[actor_at + bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+
+    TraceReader reader;
+    ASSERT_TRUE(TraceReader::LoadFile(path, &reader)) << label;
+    EXPECT_EQ(reader.corrupt_records(), 1u) << label;
+    EXPECT_FALSE(reader.complete()) << label;
+    EXPECT_EQ(reader.FlowByShard().size(), shards) << label;
+    EXPECT_EQ(reader.TotalTapFlow(), reference.TotalTapFlow()) << label;
+    EXPECT_TRUE(reader.ShardTimeline(reader.records().front().actor).empty()) << label;
+
+    LiveAggregator agg;
+    for (const TraceRecord& r : reader.records()) {
+      agg.OnRecord(r);
+    }
+    EXPECT_EQ(agg.corrupt_records(), 1u) << label;
+    EXPECT_EQ(agg.records_seen(), reader.records().size()) << label;
+    EXPECT_LE(agg.shard_live().size(), shards) << label;
+    EXPECT_EQ(agg.FlowByShard().size(), shards) << label;
+    EXPECT_EQ(agg.TotalTapFlow(), reference.TotalTapFlow()) << label;
+  }
   std::remove(path.c_str());
 }
 

@@ -132,6 +132,10 @@ int main(int argc, char** argv) {
               " windows closed, ring drops %" PRIu64 "\n",
               path.c_str(), agg.records_seen(), agg.frames(), agg.windows_closed(),
               agg.ring_dropped());
+  if (agg.corrupt_records() > 0) {
+    std::printf("CORRUPT records skipped: %" PRIu64 " (shard index >= %u)\n",
+                agg.corrupt_records(), cinder::kMaxTraceShards);
+  }
   std::printf("totals: tap %.3f mJ, decay %.3f mJ, %" PRIu64 " picks (%" PRIu64 " idle, %" PRIu64
               " planned, %" PRIu64 " plan builds)\n",
               Mj(agg.TotalTapFlow()), Mj(agg.TotalDecayFlow()), agg.SchedPicks(),

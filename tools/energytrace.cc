@@ -141,6 +141,10 @@ int main(int argc, char** argv) {
   } else if (reader.dropped() > 0) {
     std::printf("  (dropped records: totals below undercount the run)\n");
   }
+  if (reader.corrupt_records() > 0) {
+    std::printf("  CORRUPT records skipped: %" PRIu64 " (shard index >= %u)\n",
+                reader.corrupt_records(), cinder::kMaxTraceShards);
+  }
   if (reader.complete()) {
     std::printf("  complete stream: totals are bit-for-bit engine counters\n");
   }
