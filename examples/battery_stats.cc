@@ -68,7 +68,7 @@ int main() {
   // quantum, summed per thread offline.
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
-  const auto charges = reader.CpuChargeByThread();
+  const auto charges = reader.aggregate().CpuChargeByThread();
   auto traced_cpu_nj = [&charges](ObjectId thread) -> int64_t {
     for (const auto& c : charges) {
       if (c.thread == static_cast<uint32_t>(thread)) {
@@ -108,8 +108,8 @@ int main() {
   std::printf("\nestimated total: %.1f J; measured battery drain: %.1f J\n", total,
               sim.total_true_energy().joules_f());
   std::printf("cpu rows from telemetry (%llu sched picks, %llu idle); meter agrees: %s\n",
-              static_cast<unsigned long long>(reader.SchedPicks()),
-              static_cast<unsigned long long>(reader.SchedIdlePicks()),
+              static_cast<unsigned long long>(reader.aggregate().SchedPicks()),
+              static_cast<unsigned long long>(reader.aggregate().SchedIdlePicks()),
               cpu_sources_agree ? "yes" : "NO");
   std::printf("note: mail's radio joules include its share of netd's pooled activations —\n"
               "gate-based accounting attributes daemon work to the app that caused it.\n");

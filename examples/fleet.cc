@@ -223,8 +223,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(agg.windows_closed()),
               sim.telemetry().spill_size(), sim.telemetry().spill_capacity());
 
-  // Per-shard tap flow attribution for the first few phones — same
-  // TraceReader vocabulary, answered live.
+  // Per-shard tap flow attribution for the first few phones — the same
+  // fold TraceReader runs offline, answered live.
   const auto shards = agg.FlowByShard();
   TableWriter table("Per-shard flow from live telemetry (first 8 shards)");
   table.SetColumns({"shard", "taps", "decay reserves", "batches", "tap flow (mJ)",
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // The windowed view the offline reader cannot give: per-shard flow EWMAs.
+  // The windowed view a single total cannot give: per-shard flow EWMAs.
   const auto& live = agg.shard_live();
   if (!live.empty() && live[0].seen) {
     std::printf("\nphone 0 live: %.4f mJ/window tap EWMA, %.4f mJ/window decay EWMA\n",
@@ -287,8 +287,8 @@ int main(int argc, char** argv) {
       file_ok = false;
     } else {
       const bool complete = reader.complete();
-      const bool totals_match = reader.TotalTapFlow() == agg.TotalTapFlow() &&
-                                reader.TotalDecayFlow() == agg.TotalDecayFlow();
+      const bool totals_match = reader.aggregate().TotalTapFlow() == agg.TotalTapFlow() &&
+                                reader.aggregate().TotalDecayFlow() == agg.TotalDecayFlow();
       file_ok = !complete || totals_match;
       std::printf("trace streamed: %s (%zu records, %s, offline == live: %s)\n", trace_file,
                   reader.records().size(),

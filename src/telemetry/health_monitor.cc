@@ -1,7 +1,6 @@
 #include "src/telemetry/health_monitor.h"
 
 #include <cmath>
-#include <cstdlib>
 
 namespace cinder {
 
@@ -60,8 +59,10 @@ void HealthMonitor::OnWindow(const LiveAggregator& agg, const WindowStats& w) {
     // A lossy window legitimately misses deposit records — the invariant
     // only holds on a complete stream, so skip it rather than false-fire.
     if (conservation_armed_ && w.ring_drop_delta == 0) {
-      const int64_t drift = w.decay_flow - w.decay_leak_deposits;
-      if (std::llabs(drift) > cfg_.conservation_tolerance_nj) {
+      // Wrapping, like the fold's sums: corrupt records can carry any value.
+      const int64_t drift = static_cast<int64_t>(static_cast<uint64_t>(w.decay_flow) -
+                                                 static_cast<uint64_t>(w.decay_leak_deposits));
+      if (drift > cfg_.conservation_tolerance_nj || drift < -cfg_.conservation_tolerance_nj) {
         Raise(AlarmKind::kConservationDrift, w, 0, drift, cfg_.conservation_tolerance_nj);
       }
     }

@@ -30,6 +30,11 @@ void LiveAggregator::Reset() {
   sched_idle_picks_ = 0;
   sched_planned_picks_ = 0;
   sched_plan_builds_ = 0;
+  sched_planned_quanta_ = 0;
+  boundary_settles_ = 0;
+  boundary_flow_ = 0;
+  boundary_lanes_ = 0;
+  fused_settles_ = 0;
   frames_ = 0;
   records_seen_ = 0;
   corrupt_records_ = 0;
@@ -101,14 +106,14 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
       ShardLive& s = ShardAt(r.actor);
       ++s.batches;
       ++s.window_batches;
-      s.tap_flow += r.v0;
-      s.decay_flow += r.v1;
-      s.window_tap_flow += r.v0;
-      s.window_decay_flow += r.v1;
-      total_tap_flow_ += r.v0;
-      total_decay_flow_ += r.v1;
-      window_tap_flow_ += r.v0;
-      window_decay_flow_ += r.v1;
+      s.tap_flow = WrapAdd(s.tap_flow, r.v0);
+      s.decay_flow = WrapAdd(s.decay_flow, r.v1);
+      s.window_tap_flow = WrapAdd(s.window_tap_flow, r.v0);
+      s.window_decay_flow = WrapAdd(s.window_decay_flow, r.v1);
+      total_tap_flow_ = WrapAdd(total_tap_flow_, r.v0);
+      total_decay_flow_ = WrapAdd(total_decay_flow_, r.v1);
+      window_tap_flow_ = WrapAdd(window_tap_flow_, r.v0);
+      window_decay_flow_ = WrapAdd(window_decay_flow_, r.v1);
       break;
     }
     case RecordKind::kPlanShard: {
@@ -156,14 +161,24 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
     }
     case RecordKind::kSchedPlanBuild: {
       ++sched_plan_builds_;
+      sched_planned_quanta_ += static_cast<uint64_t>(r.v0);
       ++window_plan_builds_;
       break;
     }
+    case RecordKind::kBoundarySettle: {
+      ++boundary_settles_;
+      boundary_flow_ = WrapAdd(boundary_flow_, r.v0);
+      boundary_lanes_ += static_cast<uint64_t>(r.v1);
+      if ((r.flags & kBoundarySettleFused) != 0) {
+        ++fused_settles_;
+      }
+      break;
+    }
     case RecordKind::kCpuCharge: {
-      TraceReader::ThreadCharge& t = threads_[r.actor];
+      ThreadCharge& t = threads_[r.actor];
       t.thread = r.actor;
       ++t.quanta;
-      t.billed += r.v0;
+      t.billed = WrapAdd(t.billed, r.v0);
       break;
     }
     case RecordKind::kReserveDeposit:
@@ -177,7 +192,7 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
       if (static_cast<RecordKind>(r.kind) == RecordKind::kReserveWithdraw) {
         ++res.window_withdraws;
       } else if (r.flags == kReserveOpDecayLeak) {
-        window_leak_deposits_ += r.v0;
+        window_leak_deposits_ = WrapAdd(window_leak_deposits_, r.v0);
       }
       break;
     }
@@ -294,13 +309,13 @@ void LiveAggregator::CloseWindow(uint64_t closing_frame_seq, int64_t mark_time_u
   window_drop_base_ = ring_dropped_;
 }
 
-std::vector<TraceReader::ShardFlow> LiveAggregator::FlowByShard() const {
-  std::vector<TraceReader::ShardFlow> out;
+std::vector<ShardFlow> LiveAggregator::FlowByShard() const {
+  std::vector<ShardFlow> out;
   for (const ShardLive& s : shards_) {
     if (!s.seen) {
       continue;
     }
-    TraceReader::ShardFlow f;
+    ShardFlow f;
     f.shard = s.shard;
     f.taps = s.taps;
     f.decay_reserves = s.decay_reserves;
@@ -313,13 +328,13 @@ std::vector<TraceReader::ShardFlow> LiveAggregator::FlowByShard() const {
   return out;
 }
 
-std::vector<TraceReader::WorkerLoad> LiveAggregator::WorkerLoads() const {
-  std::vector<TraceReader::WorkerLoad> out;
+std::vector<WorkerLoad> LiveAggregator::WorkerLoads() const {
+  std::vector<WorkerLoad> out;
   for (const WorkerLive& w : workers_) {
     if (!w.seen) {
       continue;
     }
-    TraceReader::WorkerLoad l;
+    WorkerLoad l;
     l.worker = w.worker;
     l.dispatches = w.dispatches;
     l.shard_runs = w.shard_runs;
@@ -330,8 +345,8 @@ std::vector<TraceReader::WorkerLoad> LiveAggregator::WorkerLoads() const {
   return out;
 }
 
-std::vector<TraceReader::ThreadCharge> LiveAggregator::CpuChargeByThread() const {
-  std::vector<TraceReader::ThreadCharge> out;
+std::vector<ThreadCharge> LiveAggregator::CpuChargeByThread() const {
+  std::vector<ThreadCharge> out;
   out.reserve(threads_.size());
   for (const auto& [id, t] : threads_) {
     out.push_back(t);

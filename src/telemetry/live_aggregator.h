@@ -1,24 +1,28 @@
-// LiveAggregator — fixed-cost online aggregation over a telemetry stream.
+// LiveAggregator — the one fold over a telemetry stream.
 //
-// A TraceSink that folds each frame into windowed state as the run executes:
-// exact running totals (the same flow/load/billing queries TraceReader
-// answers offline — one query vocabulary for live and post-hoc analysis),
-// plus per-shard flow EWMAs, per-reserve level EWMAs, per-worker busy/idle
-// histograms, and scheduler/syscall rates per window. Memory is O(shards +
-// workers + threads + reserves) and per-record work is O(1): run length
-// never grows the aggregator, which is what makes it safe to leave attached
-// to an unbounded fleet run (the streaming half of docs/TELEMETRY.md).
+// Every flow, load and billing query is defined here and nowhere else:
+// engine flow totals (bit-for-bit equal to TapEngine's counters when no
+// records were dropped), per-shard flow attribution, worker load balance,
+// per-thread CPU billing, scheduler pick and plan counts, and boundary
+// settlement. Attach it to a TraceDomain as a sink to answer them live; a
+// TraceReader feeds it a retained spill or a trace file in stream order to
+// answer them offline; energytop feeds it a file it is tailing. The fold
+// cannot tell the three apart, so offline equals live by construction.
+//
+// On top of the exact running totals it keeps windowed state: per-shard
+// flow EWMAs, per-reserve level EWMAs, per-worker busy/idle histograms, and
+// scheduler/syscall rates per window. Memory is O(shards + workers +
+// threads + reserves) and per-record work is O(1): run length never grows
+// the aggregator, which is what makes it safe to leave attached to an
+// unbounded fleet run (the streaming half of docs/TELEMETRY.md).
 //
 // A *window* is a fixed number of frames (frames_per_window; one frame ==
 // one tap batch in the engine's wiring). When a window closes, the window's
 // accumulators are folded into the EWMAs (ewma' = alpha*window + (1-alpha)*
 // ewma; the first window initializes the EWMA), the attached HealthMonitor
 // checks its invariants against the still-intact window state, the window
-// callback fires, and the accumulators reset.
-//
-// The aggregator is stream-driven, not domain-driven: window ticks come
-// from kFrameMark records, so feeding it records from a file (energytop's
-// --follow loop) behaves identically to attaching it as a live sink.
+// callback fires, and the accumulators reset. Window ticks come from
+// kFrameMark records, never from a domain.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +30,39 @@
 #include <map>
 #include <vector>
 
-#include "src/telemetry/trace_reader.h"
 #include "src/telemetry/trace_sink.h"
 
 namespace cinder {
 
 class HealthMonitor;
+
+// -- Query result rows ---------------------------------------------------------------
+struct ShardFlow {
+  uint32_t shard = 0;
+  uint32_t taps = 0;            // From the latest kPlanShard record.
+  uint32_t decay_reserves = 0;  // From the latest kPlanShard record.
+  uint32_t ranges = 1;          // From the latest kPlanShard record.
+  uint64_t batches = 0;         // kShardBatch records seen.
+  int64_t tap_flow = 0;
+  int64_t decay_flow = 0;
+};
+
+// Unlike the flow rows this reflects the actual execution interleaving — it
+// varies run to run and with the worker count (that is the point: it shows
+// the balance).
+struct WorkerLoad {
+  uint32_t worker = 0;      // Slot: 0 = the calling thread.
+  uint64_t dispatches = 0;  // Tickets claimed (kDispatch).
+  uint64_t shard_runs = 0;  // Shards timed (kShardTiming; a unit counts each).
+  uint64_t range_runs = 0;  // Range passes timed (kRangeTiming).
+  uint64_t busy_ns = 0;     // Summed timed nanoseconds.
+};
+
+struct ThreadCharge {
+  uint32_t thread = 0;  // Low 32 bits of the thread id.
+  uint64_t quanta = 0;  // kCpuCharge records.
+  int64_t billed = 0;   // Summed nJ — equals the meter's per-thread CPU row.
+};
 
 struct LiveAggregatorConfig {
   // Frames folded into one window. With the simulator's 10 ms tap batches,
@@ -89,25 +120,49 @@ class LiveAggregator : public TraceSink {
   // Discards all state (a fresh epoch). Attaching to a domain resets too.
   void Reset();
 
-  // TraceSink: feed records here directly when consuming a file instead of
-  // a live domain (energytop does) — the aggregator cannot tell the
-  // difference, window ticks ride on the kFrameMark records either way.
+  // TraceSink. Feeding records here directly (TraceReader and energytop do)
+  // is the same as attaching to a domain: window ticks ride on the
+  // kFrameMark records either way.
   void OnAttach(const TraceDomain& domain) override;
   void OnRecord(const TraceRecord& r) override;
 
-  // -- TraceReader query vocabulary (exact running totals) ----------------------
-  // These mirror TraceReader's signatures and struct types so call sites
-  // written against the offline reader run unchanged against the live view;
-  // on the same complete stream the answers are identical (tests pin this).
+  // -- Exact running totals ------------------------------------------------------
+  // Sums of the kShardBatch records. With a complete stream (nothing
+  // dropped, every batch flushed) these equal TapEngine::total_tap_flow() /
+  // total_decay_flow() bit-for-bit — the fleet example asserts it.
   int64_t TotalTapFlow() const { return total_tap_flow_; }
   int64_t TotalDecayFlow() const { return total_decay_flow_; }
-  std::vector<TraceReader::ShardFlow> FlowByShard() const;
-  std::vector<TraceReader::WorkerLoad> WorkerLoads() const;
-  std::vector<TraceReader::ThreadCharge> CpuChargeByThread() const;
+  // One row per shard index seen, ascending.
+  std::vector<ShardFlow> FlowByShard() const;
+  // One row per worker slot seen, ascending.
+  std::vector<WorkerLoad> WorkerLoads() const;
+  // One row per thread billed, ascending.
+  std::vector<ThreadCharge> CpuChargeByThread() const;
+  // kSchedPick records; the idle ones found nothing runnable (actor == 0);
+  // the planned ones were replayed from a K-quanta run plan
+  // (kSchedPickPlanned), the rest were full single-quantum scans. The
+  // plan-hit ratio is SchedPlannedPicks() / SchedPicks().
   uint64_t SchedPicks() const { return sched_picks_; }
   uint64_t SchedIdlePicks() const { return sched_idle_picks_; }
   uint64_t SchedPlannedPicks() const { return sched_planned_picks_; }
+  // kSchedPlanBuild records, and the total quanta those builds planned (v0).
   uint64_t SchedPlanBuilds() const { return sched_plan_builds_; }
+  uint64_t SchedPlannedQuanta() const { return sched_planned_quanta_; }
+  // kBoundarySettle records: one per cut parent component per batch when
+  // the partitioner is cutting oversized components, zero otherwise.
+  uint64_t BoundarySettles() const { return boundary_settles_; }
+  // Summed boundary nJ settled at batch boundaries (v0). This flow is a
+  // subset of TotalTapFlow(): boundary taps' transfers are already counted
+  // in their members' kShardBatch records; this measures how much of the
+  // total crossed a cut.
+  int64_t BoundaryFlow() const { return boundary_flow_; }
+  // Summed boundary taps settled (v1): lane applications on the lane path,
+  // boundary entries replayed on the fused path.
+  uint64_t BoundaryLanesApplied() const { return boundary_lanes_; }
+  // Settles where the parent ran the fused serial fallback
+  // (kBoundarySettleFused) instead of lane settlement.
+  uint64_t FusedSettles() const { return fused_settles_; }
+  // kFrameMark records seen.
   uint64_t frames() const { return frames_; }
   uint64_t records_seen() const { return records_seen_; }
   // Records skipped as corrupt (IsCorruptShardRecord); records_seen() and
@@ -125,7 +180,7 @@ class LiveAggregator : public TraceSink {
   struct ShardLive {
     uint32_t shard = 0;
     bool seen = false;
-    // Topology from the latest kPlanShard record (TraceReader parity).
+    // Topology from the latest kPlanShard record.
     uint32_t taps = 0;
     uint32_t decay_reserves = 0;
     uint32_t ranges = 1;
@@ -181,13 +236,18 @@ class LiveAggregator : public TraceSink {
   HealthMonitor* monitor_ = nullptr;
   std::function<void(const WindowStats&)> window_cb_;
 
-  // Exact running totals (the TraceReader-vocabulary side).
+  // Exact running totals.
   int64_t total_tap_flow_ = 0;
   int64_t total_decay_flow_ = 0;
   uint64_t sched_picks_ = 0;
   uint64_t sched_idle_picks_ = 0;
   uint64_t sched_planned_picks_ = 0;
   uint64_t sched_plan_builds_ = 0;
+  uint64_t sched_planned_quanta_ = 0;
+  uint64_t boundary_settles_ = 0;
+  int64_t boundary_flow_ = 0;
+  uint64_t boundary_lanes_ = 0;
+  uint64_t fused_settles_ = 0;
   uint64_t frames_ = 0;
   uint64_t records_seen_ = 0;
   uint64_t corrupt_records_ = 0;
@@ -195,7 +255,7 @@ class LiveAggregator : public TraceSink {
 
   std::vector<ShardLive> shards_;
   std::vector<WorkerLive> workers_;
-  std::map<uint32_t, TraceReader::ThreadCharge> threads_;
+  std::map<uint32_t, ThreadCharge> threads_;
   std::map<uint32_t, ReserveLive> reserves_;
 
   // Open-window accumulators (the scalar half; per-shard/worker/reserve

@@ -221,4 +221,31 @@ bool TraceDomain::WriteFile(const std::string& path, std::string* error) const {
   return ok;
 }
 
+bool ProbeTraceFile(std::FILE* f, const std::string& path, TraceFileExtent* out,
+                    std::string* error) {
+  auto fail = [&](const char* what) {
+    if (error != nullptr) {
+      *error = path + what;
+    }
+    return false;
+  };
+  TraceFileHeader& h = out->header;
+  if (std::fseek(f, 0, SEEK_SET) != 0 || std::fread(&h, sizeof(h), 1, f) != 1 ||
+      std::memcmp(h.magic, kTraceFileMagic, sizeof(h.magic)) != 0 ||
+      h.record_size != sizeof(TraceRecord)) {
+    return fail(": not a Cinder trace (bad magic or record size)");
+  }
+  long end = 0;
+  if (std::fseek(f, 0, SEEK_END) != 0 || (end = std::ftell(f)) < 0 ||
+      std::fseek(f, sizeof(TraceFileHeader), SEEK_SET) != 0) {
+    return fail(": unseekable trace file");
+  }
+  // A file shrunk under a follower reads as holding no records.
+  const uint64_t data_bytes =
+      static_cast<uint64_t>(std::max<long>(end, sizeof(TraceFileHeader))) - sizeof(TraceFileHeader);
+  out->records = data_bytes / sizeof(TraceRecord);
+  out->partial_tail = data_bytes % sizeof(TraceRecord) != 0;
+  return true;
+}
+
 }  // namespace cinder

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -204,5 +205,20 @@ struct TraceFileHeader {
   uint64_t dropped_records;
 };
 inline constexpr char kTraceFileMagic[8] = {'C', 'N', 'D', 'T', 'R', 'C', '0', '1'};
+
+// What ProbeTraceFile reads from an open trace file.
+struct TraceFileExtent {
+  TraceFileHeader header{};
+  uint64_t records = 0;       // Whole records on disk behind the header.
+  bool partial_tail = false;  // Stray bytes of a chopped record follow them.
+};
+// The one header check of every trace-file reader (TraceReader::LoadFile and
+// the tools' tail follower): reads the header at the start of `f`, validates
+// its magic and record size, and counts the whole records from the bytes on
+// disk — never from the header count, which a stream cut mid-run leaves as a
+// placeholder. Leaves `f` at the first record. On failure returns false with
+// a message naming `path`.
+bool ProbeTraceFile(std::FILE* f, const std::string& path, TraceFileExtent* out,
+                    std::string* error);
 
 }  // namespace cinder

@@ -152,6 +152,14 @@ inline bool IsCorruptShardRecord(const TraceRecord& r) {
          r.actor >= kMaxTraceShards;
 }
 
+// Adds a record value to a running signed sum, wrapping (two's complement)
+// where plain int64 addition would overflow. No valid stream comes near the
+// limit, but a corrupt record can carry any value, and folding it must not
+// be undefined behaviour.
+inline int64_t WrapAdd(int64_t sum, int64_t v) {
+  return static_cast<int64_t>(static_cast<uint64_t>(sum) + static_cast<uint64_t>(v));
+}
+
 // The shards one kShardTiming record covers: v1, where 0 (a trace written
 // before work units, when every record timed one shard) counts as 1.
 inline uint64_t TimedShards(const TraceRecord& r) {

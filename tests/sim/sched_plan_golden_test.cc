@@ -156,11 +156,11 @@ RunFingerprint RunMixedFleet(uint32_t plan_quanta) {
     const SchedPlanStats& stats = sim.scheduler().plan_stats();
     EXPECT_GT(stats.plans_built, 0u) << "K=" << plan_quanta;
     EXPECT_GT(stats.quanta_replayed, 0u) << "K=" << plan_quanta;
-    EXPECT_EQ(reader.SchedPlannedPicks(), stats.quanta_replayed);
-    EXPECT_EQ(reader.SchedPlanBuilds(), stats.plans_built);
+    EXPECT_EQ(reader.aggregate().SchedPlannedPicks(), stats.quanta_replayed);
+    EXPECT_EQ(reader.aggregate().SchedPlanBuilds(), stats.plans_built);
   } else {
     EXPECT_EQ(sim.scheduler().plan_stats().plans_built, 0u);
-    EXPECT_EQ(reader.SchedPlannedPicks(), 0u);
+    EXPECT_EQ(reader.aggregate().SchedPlannedPicks(), 0u);
   }
   return fp;
 }

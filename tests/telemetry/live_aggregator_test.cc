@@ -1,19 +1,24 @@
-// LiveAggregator + HealthMonitor tests: the live windowed view must answer
-// the TraceReader query vocabulary identically to the offline reader on the
-// same stream, windows must close on the frame cadence with correct EWMAs,
-// and each alarm in the catalog must fire on its synthesized fault — and
-// stay silent on a clean real-simulator run. The LiveAggregatorTest suite
+// LiveAggregator + HealthMonitor tests: the live sink and the offline
+// reader's fold (from a retained spill and from a streamed file) must agree
+// on the same stream, windows must close on the frame cadence with correct
+// EWMAs, and each alarm in the catalog must fire on its synthesized fault —
+// and stay silent on a clean real-simulator run. The LiveAggregatorTest suite
 // runs under TSAN in CI (the aggregator rides the flush path of a real
 // worker pool).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/core/syscalls.h"
 #include "src/core/tap_engine.h"
 #include "src/sim/simulator.h"
+#include "src/sim/thread_body.h"
 #include "src/telemetry/health_monitor.h"
 #include "src/telemetry/live_aggregator.h"
 #include "src/telemetry/trace_reader.h"
@@ -39,6 +44,38 @@ void BuildPhones(Simulator& sim, int phones) {
   }
 }
 
+// A charged relay chain of `hops` bridges: one component that a cut
+// threshold below `hops` carves into sub-shards, each batch then settling
+// its boundary taps (kBoundarySettle).
+void BuildRelayChain(Simulator& sim, int hops) {
+  Kernel& kernel = sim.kernel();
+  Reserve* prev = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "head");
+  prev->Deposit(ToQuantity(Energy::Joules(4000.0)));
+  for (int i = 1; i <= hops; ++i) {
+    Reserve* next = kernel.Create<Reserve>(kernel.root_container_id(), Label(Level::k1), "hop");
+    next->Deposit(ToQuantity(Energy::Joules(3.0 + i % 7)));
+    Tap* relay = kernel.Create<Tap>(kernel.root_container_id(), Label(Level::k1), "relay",
+                                    prev->id(), next->id());
+    relay->SetConstantPower(Power::Milliwatts(1 + (i * 5) % 17));
+    ASSERT_TRUE(sim.taps().Register(relay->id()));
+    prev = next;
+  }
+}
+
+// A funded spinning process: every quantum is a scheduler pick, and the
+// batched stepper replays most of them from K-quanta run plans.
+void AddSpinner(Simulator& sim) {
+  Kernel& k = sim.kernel();
+  auto proc = sim.CreateProcess("spin");
+  ObjectId r =
+      ReserveCreate(k, *sim.boot_thread(), proc.container, Label(Level::k1), "r").value();
+  ASSERT_EQ(ReserveTransfer(k, *sim.boot_thread(), sim.battery_reserve_id(), r,
+                            ToQuantity(Energy::Joules(10.0))),
+            Status::kOk);
+  k.LookupTyped<Thread>(proc.thread)->set_active_reserve(r);
+  sim.AttachBody(proc.thread, std::make_unique<SpinBody>());
+}
+
 // A synthetic record, for driving the aggregator without a domain.
 TraceRecord Rec(RecordKind kind, uint32_t actor, int64_t v0, int64_t v1, uint8_t flags = 0,
                 uint16_t aux = 0, int64_t t = 0) {
@@ -61,35 +98,44 @@ TraceRecord Mark(uint64_t seq, uint64_t ring_drops = 0, int64_t t = 0) {
 // -- Live == offline on the same stream ------------------------------------------
 
 TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
-  // A real sharded run, streamed live into the aggregator AND retained for
-  // the offline reader: every shared query must agree exactly.
+  // A real sharded run with a cut chain and a planned scheduler, streamed
+  // live into the aggregator, into a file AND retained for the offline
+  // reader. The reader runs the same fold, so equality checks that the
+  // retained spill and the file round trip carry every record the live
+  // sink saw.
+  const std::string path = ::testing::TempDir() + "live_vs_offline.bin";
   SimConfig cfg;
   cfg.exec.tap_workers = 3;
   cfg.exec.decay_to_shard_root = true;
+  cfg.exec.shard_cut_threshold = 16;
   cfg.decay_half_life = Duration::Minutes(1);
   cfg.telemetry.enabled = true;
   cfg.telemetry.spill_grow = true;
   cfg.telemetry.retain_with_sinks = true;
+  cfg.telemetry.stream_path = path;
   LiveAggregator agg;
   Simulator sim(cfg);
   sim.telemetry().AddSink(&agg);
   BuildPhones(sim, 12);
+  BuildRelayChain(sim, 96);
+  AddSpinner(sim);
   sim.Run(Duration::Millis(800));
   sim.telemetry().FlushFrame();
+  ASSERT_GT(sim.taps().boundary_cut_count(), 0u);
 
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
   ASSERT_EQ(reader.dropped(), 0u);
 
-  EXPECT_EQ(agg.TotalTapFlow(), reader.TotalTapFlow());
-  EXPECT_EQ(agg.TotalDecayFlow(), reader.TotalDecayFlow());
+  EXPECT_EQ(agg.TotalTapFlow(), reader.aggregate().TotalTapFlow());
+  EXPECT_EQ(agg.TotalDecayFlow(), reader.aggregate().TotalDecayFlow());
   EXPECT_EQ(agg.TotalTapFlow(), sim.taps().total_tap_flow());
-  EXPECT_EQ(agg.SchedPicks(), reader.SchedPicks());
-  EXPECT_EQ(agg.SchedIdlePicks(), reader.SchedIdlePicks());
-  EXPECT_EQ(agg.frames(), reader.frames());
+  EXPECT_EQ(agg.SchedPicks(), reader.aggregate().SchedPicks());
+  EXPECT_EQ(agg.SchedIdlePicks(), reader.aggregate().SchedIdlePicks());
+  EXPECT_EQ(agg.frames(), reader.aggregate().frames());
   EXPECT_EQ(agg.records_seen(), reader.records().size());
 
   const auto live_shards = agg.FlowByShard();
-  const auto offline_shards = reader.FlowByShard();
+  const auto offline_shards = reader.aggregate().FlowByShard();
   ASSERT_EQ(live_shards.size(), offline_shards.size());
   for (size_t i = 0; i < live_shards.size(); ++i) {
     EXPECT_EQ(live_shards[i].shard, offline_shards[i].shard);
@@ -102,7 +148,7 @@ TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
   }
 
   const auto live_workers = agg.WorkerLoads();
-  const auto offline_workers = reader.WorkerLoads();
+  const auto offline_workers = reader.aggregate().WorkerLoads();
   ASSERT_EQ(live_workers.size(), offline_workers.size());
   for (size_t i = 0; i < live_workers.size(); ++i) {
     EXPECT_EQ(live_workers[i].worker, offline_workers[i].worker);
@@ -113,13 +159,35 @@ TEST(LiveAggregatorTest, LiveQueriesMatchOfflineReaderOnSameStream) {
   }
 
   const auto live_threads = agg.CpuChargeByThread();
-  const auto offline_threads = reader.CpuChargeByThread();
+  const auto offline_threads = reader.aggregate().CpuChargeByThread();
   ASSERT_EQ(live_threads.size(), offline_threads.size());
   for (size_t i = 0; i < live_threads.size(); ++i) {
     EXPECT_EQ(live_threads[i].thread, offline_threads[i].thread);
     EXPECT_EQ(live_threads[i].quanta, offline_threads[i].quanta);
     EXPECT_EQ(live_threads[i].billed, offline_threads[i].billed);
   }
+
+  // The cut chain and the run plans: the file streamed alongside the live
+  // sink (finalized by detaching its sink) must load to the same counts.
+  ASSERT_NE(sim.stream_sink(), nullptr);
+  sim.telemetry().RemoveSink(sim.stream_sink());
+  TraceReader from_file;
+  std::string error;
+  ASSERT_TRUE(TraceReader::LoadFile(path, &from_file, &error)) << error;
+  ASSERT_TRUE(from_file.complete());
+  const LiveAggregator& file = from_file.aggregate();
+  EXPECT_GT(agg.BoundarySettles(), 0u);
+  EXPECT_GT(agg.BoundaryFlow(), 0);
+  EXPECT_GT(agg.SchedPlanBuilds(), 0u);
+  EXPECT_EQ(file.BoundarySettles(), agg.BoundarySettles());
+  EXPECT_EQ(file.BoundaryFlow(), agg.BoundaryFlow());
+  EXPECT_EQ(file.BoundaryLanesApplied(), agg.BoundaryLanesApplied());
+  EXPECT_EQ(file.FusedSettles(), agg.FusedSettles());
+  EXPECT_EQ(file.SchedPlanBuilds(), agg.SchedPlanBuilds());
+  EXPECT_EQ(file.SchedPlannedQuanta(), agg.SchedPlannedQuanta());
+  EXPECT_GE(agg.SchedPlannedQuanta(), agg.SchedPlannedPicks());
+  EXPECT_EQ(file.records_seen(), agg.records_seen());
+  std::remove(path.c_str());
 }
 
 // -- Window mechanics -------------------------------------------------------------
@@ -200,6 +268,53 @@ TEST(LiveAggregatorTest, AttachResetsForFreshEpoch) {
   domain.AddSink(&agg);  // OnAttach resets all state.
   EXPECT_EQ(agg.TotalTapFlow(), 0);
   EXPECT_EQ(agg.records_seen(), 0u);
+}
+
+TEST(LiveAggregatorTest, HostileValuesWrapInsteadOfOverflowing) {
+  // A corrupt trace can carry any 64-bit value. Two flows near INT64_MAX
+  // once overflowed the signed sums (undefined behaviour, an abort under
+  // UBSan); the fold, the monitor's drift check and the reader's timeline
+  // now wrap like the two's-complement sums they are.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  LiveAggregatorConfig cfg;
+  cfg.frames_per_window = 1;
+  LiveAggregator agg(cfg);
+  HealthMonitor monitor;
+  agg.set_monitor(&monitor);
+  agg.OnRecord(Rec(RecordKind::kReserveDeposit, 1, kMin, 0, kReserveOpDecayLeak));
+  for (int i = 0; i < 2; ++i) {
+    agg.OnRecord(Rec(RecordKind::kShardBatch, 0, kMax, kMax));
+    agg.OnRecord(Rec(RecordKind::kCpuCharge, 7, kMax, 0));
+    agg.OnRecord(Rec(RecordKind::kBoundarySettle, 0, kMax, 1));
+  }
+  agg.OnRecord(Mark(0));
+  EXPECT_EQ(agg.TotalTapFlow(), -2);  // 2 * (2^63 - 1) mod 2^64.
+  EXPECT_EQ(agg.TotalDecayFlow(), -2);
+  EXPECT_EQ(agg.FlowByShard().at(0).tap_flow, -2);
+  EXPECT_EQ(agg.CpuChargeByThread().at(0).billed, -2);
+  EXPECT_EQ(agg.BoundaryFlow(), -2);
+  EXPECT_EQ(monitor.count(AlarmKind::kConservationDrift), 1u);
+
+  const std::string path = ::testing::TempDir() + "hostile_values.bin";
+  TraceDomain domain([] {
+    TelemetryConfig t;
+    t.enabled = true;
+    t.spill_grow = true;
+    return t;
+  }());
+  for (int i = 0; i < 2; ++i) {
+    domain.ring(0)->Emit(0, RecordKind::kShardBatch, 3, 0, 0, kMax, kMax);
+  }
+  domain.FlushFrame();
+  ASSERT_TRUE(domain.WriteFile(path));
+  TraceReader reader;
+  ASSERT_TRUE(TraceReader::LoadFile(path, &reader));
+  const auto timeline = reader.ShardTimeline(3);
+  ASSERT_EQ(timeline.size(), 2u);
+  EXPECT_EQ(timeline[1].cumulative_tap_flow, -2);
+  EXPECT_EQ(reader.aggregate().TotalTapFlow(), -2);
+  std::remove(path.c_str());
 }
 
 // -- Alarm catalog ----------------------------------------------------------------

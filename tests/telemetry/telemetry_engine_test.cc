@@ -66,18 +66,19 @@ TEST(TelemetryEngineTest, ReaderTotalsMatchEngineBitForBitAcrossWorkerCounts) {
     TraceReader reader = TraceReader::FromDomain(sim.telemetry());
     EXPECT_EQ(reader.dropped(), 0u) << "workers=" << workers;
     // The acceptance bar: offline reconstruction equals the engine exactly.
-    EXPECT_EQ(reader.TotalTapFlow(), sim.taps().total_tap_flow()) << "workers=" << workers;
-    EXPECT_EQ(reader.TotalDecayFlow(), sim.taps().total_decay_flow())
+    EXPECT_EQ(reader.aggregate().TotalTapFlow(), sim.taps().total_tap_flow())
         << "workers=" << workers;
-    EXPECT_GT(reader.TotalTapFlow(), 0);
-    EXPECT_GT(reader.TotalDecayFlow(), 0);
+    EXPECT_EQ(reader.aggregate().TotalDecayFlow(), sim.taps().total_decay_flow())
+        << "workers=" << workers;
+    EXPECT_GT(reader.aggregate().TotalTapFlow(), 0);
+    EXPECT_GT(reader.aggregate().TotalDecayFlow(), 0);
     // And the totals themselves are worker-count invariant.
     if (workers == 0) {
-      reference_tap = reader.TotalTapFlow();
-      reference_decay = reader.TotalDecayFlow();
+      reference_tap = reader.aggregate().TotalTapFlow();
+      reference_decay = reader.aggregate().TotalDecayFlow();
     } else {
-      EXPECT_EQ(reader.TotalTapFlow(), reference_tap) << "workers=" << workers;
-      EXPECT_EQ(reader.TotalDecayFlow(), reference_decay) << "workers=" << workers;
+      EXPECT_EQ(reader.aggregate().TotalTapFlow(), reference_tap) << "workers=" << workers;
+      EXPECT_EQ(reader.aggregate().TotalDecayFlow(), reference_decay) << "workers=" << workers;
     }
   }
 }
@@ -89,7 +90,7 @@ TEST(TelemetryEngineTest, FlowByShardJoinsPlanAndBatchRecords) {
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
 
-  const auto shards = reader.FlowByShard();
+  const auto shards = reader.aggregate().FlowByShard();
   ASSERT_EQ(shards.size(), 8u);
   int64_t tap_sum = 0;
   int64_t decay_sum = 0;
@@ -105,8 +106,8 @@ TEST(TelemetryEngineTest, FlowByShardJoinsPlanAndBatchRecords) {
     tap_sum += s.tap_flow;
     decay_sum += s.decay_flow;
   }
-  EXPECT_EQ(tap_sum, reader.TotalTapFlow());
-  EXPECT_EQ(decay_sum, reader.TotalDecayFlow());
+  EXPECT_EQ(tap_sum, reader.aggregate().TotalTapFlow());
+  EXPECT_EQ(decay_sum, reader.aggregate().TotalDecayFlow());
 }
 
 TEST(TelemetryEngineTest, BoundarySettleRecordsAccountCutSettlement) {
@@ -137,16 +138,16 @@ TEST(TelemetryEngineTest, BoundarySettleRecordsAccountCutSettlement) {
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
   ASSERT_EQ(reader.dropped(), 0u);
-  EXPECT_GT(reader.BoundarySettles(), 0u);
-  EXPECT_EQ(reader.FusedSettles(), 0u);
+  EXPECT_GT(reader.aggregate().BoundarySettles(), 0u);
+  EXPECT_EQ(reader.aggregate().FusedSettles(), 0u);
   // One settle per cut parent per batch (the chain is one parent), each
   // applying every one of its boundary lanes.
-  EXPECT_EQ(reader.BoundaryLanesApplied(), reader.BoundarySettles() * cuts);
+  EXPECT_EQ(reader.aggregate().BoundaryLanesApplied(), reader.aggregate().BoundarySettles() * cuts);
   // Boundary flow crossed the cuts and is a subset of the engine-exact total.
-  EXPECT_GT(reader.BoundaryFlow(), 0);
-  EXPECT_LE(reader.BoundaryFlow(), reader.TotalTapFlow());
-  EXPECT_EQ(reader.TotalTapFlow(), sim.taps().total_tap_flow());
-  EXPECT_EQ(reader.TotalDecayFlow(), sim.taps().total_decay_flow());
+  EXPECT_GT(reader.aggregate().BoundaryFlow(), 0);
+  EXPECT_LE(reader.aggregate().BoundaryFlow(), reader.aggregate().TotalTapFlow());
+  EXPECT_EQ(reader.aggregate().TotalTapFlow(), sim.taps().total_tap_flow());
+  EXPECT_EQ(reader.aggregate().TotalDecayFlow(), sim.taps().total_decay_flow());
 }
 
 TEST(TelemetryEngineTest, ShardTimelineCumulatesToShardTotal) {
@@ -156,7 +157,7 @@ TEST(TelemetryEngineTest, ShardTimelineCumulatesToShardTotal) {
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
 
-  const auto shards = reader.FlowByShard();
+  const auto shards = reader.aggregate().FlowByShard();
   ASSERT_EQ(shards.size(), 4u);
   for (const auto& s : shards) {
     const auto timeline = reader.ShardTimeline(s.shard);
@@ -196,14 +197,14 @@ TEST(TelemetryEngineTest, DispatchRecordsCoverEveryPooledTicket) {
   const uint32_t shards = sim.taps().shard_count();
   ASSERT_EQ(shards, 600u);
   uint64_t batches = 0;
-  for (const auto& s : reader.FlowByShard()) {
+  for (const auto& s : reader.aggregate().FlowByShard()) {
     batches += s.batches;
   }
   ASSERT_GT(batches, 0u);
   ASSERT_EQ(batches % shards, 0u);
   uint64_t dispatches = 0;
   uint64_t shard_runs = 0;
-  for (const auto& w : reader.WorkerLoads()) {
+  for (const auto& w : reader.aggregate().WorkerLoads()) {
     dispatches += w.dispatches;
     shard_runs += w.shard_runs;
   }
@@ -249,9 +250,9 @@ TEST(TelemetryEngineTest, SingleShardFastPathStillStreamsRecords) {
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
   EXPECT_EQ(reader.dropped(), 0u);
-  EXPECT_EQ(reader.TotalTapFlow(), sim.taps().total_tap_flow());
-  EXPECT_EQ(reader.TotalDecayFlow(), sim.taps().total_decay_flow());
-  const auto shards = reader.FlowByShard();
+  EXPECT_EQ(reader.aggregate().TotalTapFlow(), sim.taps().total_tap_flow());
+  EXPECT_EQ(reader.aggregate().TotalDecayFlow(), sim.taps().total_decay_flow());
+  const auto shards = reader.aggregate().FlowByShard();
   ASSERT_EQ(shards.size(), 1u);
   EXPECT_GT(shards[0].batches, 0u);
 }
@@ -276,7 +277,7 @@ TEST(TelemetrySimulatorTest, CpuChargesMatchMeterExactly) {
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
 
-  const auto charges = reader.CpuChargeByThread();
+  const auto charges = reader.aggregate().CpuChargeByThread();
   ASSERT_EQ(charges.size(), 1u);
   EXPECT_EQ(charges[0].thread, static_cast<uint32_t>(proc.thread));
   EXPECT_GT(charges[0].quanta, 0u);
@@ -284,8 +285,8 @@ TEST(TelemetrySimulatorTest, CpuChargesMatchMeterExactly) {
             sim.meter().ForPrincipalComponent(proc.thread, Component::kCpu).nj());
   // Every quantum made a scheduling decision, and it always found the spin
   // thread runnable.
-  EXPECT_EQ(reader.SchedPicks(), 5000u);
-  EXPECT_EQ(reader.SchedIdlePicks(), 0u);
+  EXPECT_EQ(reader.aggregate().SchedPicks(), 5000u);
+  EXPECT_EQ(reader.aggregate().SchedIdlePicks(), 0u);
   EXPECT_EQ(charges[0].quanta, 5000u);
 }
 
@@ -305,9 +306,9 @@ TEST(TelemetrySimulatorTest, SchedPickRecordsIdleWhenNoThreadHasEnergy) {
   sim.Run(Duration::Millis(100));
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
-  EXPECT_EQ(reader.SchedPicks(), 100u);
-  EXPECT_EQ(reader.SchedIdlePicks(), 100u);
-  EXPECT_TRUE(reader.CpuChargeByThread().empty());
+  EXPECT_EQ(reader.aggregate().SchedPicks(), 100u);
+  EXPECT_EQ(reader.aggregate().SchedIdlePicks(), 100u);
+  EXPECT_TRUE(reader.aggregate().CpuChargeByThread().empty());
 }
 
 TEST(TelemetrySimulatorTest, SyscallReserveOpsAreRecordedWithLevels) {
@@ -372,9 +373,9 @@ TEST(TelemetrySimulatorTest, EmptyRunQueueStillEmitsIdlePickRecords) {
   sim.Run(Duration::Millis(100));
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
-  EXPECT_EQ(reader.SchedPicks(), 100u);
-  EXPECT_EQ(reader.SchedIdlePicks(), 100u);
-  EXPECT_EQ(reader.SchedPlannedPicks(), 0u);
+  EXPECT_EQ(reader.aggregate().SchedPicks(), 100u);
+  EXPECT_EQ(reader.aggregate().SchedIdlePicks(), 100u);
+  EXPECT_EQ(reader.aggregate().SchedPlannedPicks(), 0u);
 }
 
 TEST(TelemetrySimulatorTest, PlannedPicksCarryTheFlagAndBuildRecords) {
@@ -398,12 +399,12 @@ TEST(TelemetrySimulatorTest, PlannedPicksCarryTheFlagAndBuildRecords) {
   sim.Run(Duration::Seconds(2));
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
-  EXPECT_EQ(reader.SchedPicks(), 2000u);  // One record per quantum, planned or not.
+  EXPECT_EQ(reader.aggregate().SchedPicks(), 2000u);  // One record per quantum, planned or not.
   const SchedPlanStats& stats = sim.scheduler().plan_stats();
   EXPECT_GT(stats.plans_built, 0u);
-  EXPECT_EQ(reader.SchedPlannedPicks(), stats.quanta_replayed);
-  EXPECT_EQ(reader.SchedPlanBuilds(), stats.plans_built);
-  EXPECT_GE(reader.SchedPlannedQuanta(), reader.SchedPlannedPicks());
+  EXPECT_EQ(reader.aggregate().SchedPlannedPicks(), stats.quanta_replayed);
+  EXPECT_EQ(reader.aggregate().SchedPlanBuilds(), stats.plans_built);
+  EXPECT_GE(reader.aggregate().SchedPlannedQuanta(), reader.aggregate().SchedPlannedPicks());
 }
 
 TEST(TelemetryConfigTest, DisabledByDefaultAndInert) {

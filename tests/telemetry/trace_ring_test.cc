@@ -212,7 +212,7 @@ TEST(TelemetryFileTest, WriteLoadRoundTripPreservesRecordsAndCounters) {
 
   EXPECT_EQ(from_file.writer_count(), 2u);
   EXPECT_EQ(from_file.dropped(), 0u);
-  EXPECT_EQ(from_file.frames(), 1u);
+  EXPECT_EQ(from_file.aggregate().frames(), 1u);
   ASSERT_EQ(from_file.records().size(), from_domain.records().size());
   for (size_t i = 0; i < from_file.records().size(); ++i) {
     const TraceRecord& a = from_file.records()[i];
@@ -225,8 +225,8 @@ TEST(TelemetryFileTest, WriteLoadRoundTripPreservesRecordsAndCounters) {
     EXPECT_EQ(a.flags, b.flags);
     EXPECT_EQ(a.aux, b.aux);
   }
-  EXPECT_EQ(from_file.TotalTapFlow(), 444);
-  EXPECT_EQ(from_file.TotalDecayFlow(), 666);
+  EXPECT_EQ(from_file.aggregate().TotalTapFlow(), 444);
+  EXPECT_EQ(from_file.aggregate().TotalDecayFlow(), 666);
   std::remove(path.c_str());
 }
 

@@ -10,11 +10,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "src/core/syscalls.h"
 #include "src/core/tap_engine.h"
 #include "src/sim/simulator.h"
+#include "src/sim/thread_body.h"
 #include "src/telemetry/file_stream_sink.h"
 #include "src/telemetry/live_aggregator.h"
 #include "src/telemetry/trace_domain.h"
@@ -331,7 +335,7 @@ TEST(TraceSinkTest, LongStreamingRunKeepsMemoryAtRingScaleWithZeroDrops) {
   EXPECT_FALSE(reader.truncated());
   EXPECT_TRUE(reader.complete());
   EXPECT_EQ(reader.records().size(), static_cast<size_t>(kBatches * (kPerBatch + 1)));
-  EXPECT_EQ(reader.frames(), static_cast<uint64_t>(kBatches));
+  EXPECT_EQ(reader.aggregate().frames(), static_cast<uint64_t>(kBatches));
   std::remove(path.c_str());
 }
 
@@ -370,7 +374,7 @@ TEST(TraceSinkTest, FsyncPolicyStreamsCorrectly) {
   ASSERT_TRUE(sink.ok());
   TraceReader reader;
   ASSERT_TRUE(TraceReader::LoadFile(path, &reader));
-  EXPECT_EQ(reader.frames(), 5u);
+  EXPECT_EQ(reader.aggregate().frames(), 5u);
   EXPECT_TRUE(reader.complete());
   std::remove(path.c_str());
 }
@@ -411,7 +415,7 @@ TEST(TraceSinkTest, UnfinalizedStreamParsesAsTruncatedPrefix) {
   EXPECT_TRUE(reader.truncated());
   EXPECT_FALSE(reader.complete());
   EXPECT_EQ(reader.records().size(), 14u);  // Every whole record on disk.
-  EXPECT_EQ(reader.frames(), 2u);
+  EXPECT_EQ(reader.aggregate().frames(), 2u);
   std::remove(path.c_str());
 }
 
@@ -523,9 +527,9 @@ TEST(TraceSinkTest, CorruptShardIndexIsCountedAndSkippedNeverAllocated) {
   ASSERT_TRUE(TraceReader::LoadFile(path, &reference));
   ASSERT_EQ(reference.records().front().kind, static_cast<uint8_t>(RecordKind::kPlanShard));
   ASSERT_EQ(reference.records().front().actor, 0u);
-  ASSERT_EQ(reference.corrupt_records(), 0u);
+  ASSERT_EQ(reference.aggregate().corrupt_records(), 0u);
   ASSERT_TRUE(reference.complete());
-  const size_t shards = reference.FlowByShard().size();
+  const size_t shards = reference.aggregate().FlowByShard().size();
   ASSERT_EQ(shards, 20u);
 
   for (int bit = 20; bit < 32; ++bit) {
@@ -539,10 +543,10 @@ TEST(TraceSinkTest, CorruptShardIndexIsCountedAndSkippedNeverAllocated) {
 
     TraceReader reader;
     ASSERT_TRUE(TraceReader::LoadFile(path, &reader)) << label;
-    EXPECT_EQ(reader.corrupt_records(), 1u) << label;
+    EXPECT_EQ(reader.aggregate().corrupt_records(), 1u) << label;
     EXPECT_FALSE(reader.complete()) << label;
-    EXPECT_EQ(reader.FlowByShard().size(), shards) << label;
-    EXPECT_EQ(reader.TotalTapFlow(), reference.TotalTapFlow()) << label;
+    EXPECT_EQ(reader.aggregate().FlowByShard().size(), shards) << label;
+    EXPECT_EQ(reader.aggregate().TotalTapFlow(), reference.aggregate().TotalTapFlow()) << label;
     EXPECT_TRUE(reader.ShardTimeline(reader.records().front().actor).empty()) << label;
 
     LiveAggregator agg;
@@ -553,8 +557,109 @@ TEST(TraceSinkTest, CorruptShardIndexIsCountedAndSkippedNeverAllocated) {
     EXPECT_EQ(agg.records_seen(), reader.records().size()) << label;
     EXPECT_LE(agg.shard_live().size(), shards) << label;
     EXPECT_EQ(agg.FlowByShard().size(), shards) << label;
-    EXPECT_EQ(agg.TotalTapFlow(), reference.TotalTapFlow()) << label;
+    EXPECT_EQ(agg.TotalTapFlow(), reference.aggregate().TotalTapFlow()) << label;
   }
+  std::remove(path.c_str());
+}
+
+TEST(TraceSinkTest, SeededMutantSweepLoadsCleanlyAndTruncationsFlagTruncated) {
+  // 200 seeded mutants of a small streamed fleet trace (phones, a cut relay
+  // chain and a planned scheduler, so every folded record kind appears):
+  // three in four flip 1-16 random bits anywhere, header included; the rest
+  // truncate the file at a random length. LoadFile must never throw or
+  // abort (the sanitizer builds run this sweep too); a mutant it rejects
+  // says why; and every truncation loads as truncated, or — cut inside the
+  // header — is rejected.
+  const std::string path = TempPath("mutant_sweep.bin");
+  {
+    SimConfig cfg;
+    cfg.exec.tap_workers = 2;
+    cfg.exec.shard_cut_threshold = 8;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.stream_path = path;
+    Simulator sim(cfg);
+    Kernel& k = sim.kernel();
+    for (int p = 0; p < 8; ++p) {
+      Reserve* pool = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "pool");
+      pool->Deposit(ToQuantity(Energy::Joules(10.0 + p)));
+      Reserve* app = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "app");
+      Tap* feed =
+          k.Create<Tap>(k.root_container_id(), Label(Level::k1), "feed", pool->id(), app->id());
+      feed->SetConstantPower(Power::Milliwatts(50 + p));
+      ASSERT_TRUE(sim.taps().Register(feed->id()));
+    }
+    Reserve* prev = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "head");
+    prev->Deposit(ToQuantity(Energy::Joules(100.0)));
+    for (int i = 0; i < 24; ++i) {
+      Reserve* next = k.Create<Reserve>(k.root_container_id(), Label(Level::k1), "hop");
+      Tap* relay =
+          k.Create<Tap>(k.root_container_id(), Label(Level::k1), "relay", prev->id(), next->id());
+      relay->SetConstantPower(Power::Milliwatts(5));
+      ASSERT_TRUE(sim.taps().Register(relay->id()));
+      prev = next;
+    }
+    auto proc = sim.CreateProcess("spin");
+    ObjectId r =
+        ReserveCreate(k, *sim.boot_thread(), proc.container, Label(Level::k1), "r").value();
+    ASSERT_EQ(ReserveTransfer(k, *sim.boot_thread(), sim.battery_reserve_id(), r,
+                              ToQuantity(Energy::Joules(10.0))),
+              Status::kOk);
+    k.LookupTyped<Thread>(proc.thread)->set_active_reserve(r);
+    sim.AttachBody(proc.thread, std::make_unique<SpinBody>());
+    sim.Run(Duration::Millis(200));
+  }
+  const std::vector<unsigned char> clean = Slurp(path);
+  {
+    TraceReader reference;
+    ASSERT_TRUE(TraceReader::LoadFile(path, &reference));
+    ASSERT_TRUE(reference.complete());
+    ASSERT_GT(reference.aggregate().BoundarySettles(), 0u);
+    ASSERT_GT(reference.aggregate().SchedPlanBuilds(), 0u);
+  }
+
+  std::mt19937_64 rng(0x43494e444552ull);
+  int loaded_mutants = 0;
+  for (int m = 0; m < 200; ++m) {
+    std::vector<unsigned char> bytes = clean;
+    const bool truncation = m % 4 == 3;
+    std::string label = "mutant " + std::to_string(m);
+    if (truncation) {
+      bytes.resize(rng() % clean.size());
+      label += " (truncated to " + std::to_string(bytes.size()) + " bytes)";
+    } else {
+      const int flips = 1 + static_cast<int>(rng() % 16);
+      for (int f = 0; f < flips; ++f) {
+        const uint64_t bit = rng() % (clean.size() * 8);
+        bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+      }
+      label += " (" + std::to_string(flips) + " bit flips)";
+    }
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+
+    TraceReader reader;
+    std::string error;
+    bool loaded = false;
+    EXPECT_NO_THROW(loaded = TraceReader::LoadFile(path, &reader, &error)) << label;
+    if (!loaded) {
+      EXPECT_FALSE(error.empty()) << label;
+      EXPECT_TRUE(!truncation || bytes.size() < sizeof(TraceFileHeader)) << label;
+      continue;
+    }
+    ++loaded_mutants;
+    EXPECT_EQ(reader.aggregate().records_seen(), reader.records().size()) << label;
+    if (truncation) {
+      EXPECT_TRUE(reader.truncated()) << label;
+      EXPECT_FALSE(reader.complete()) << label;
+    }
+    // The reader's own walks over the retained records.
+    EXPECT_NO_THROW((void)reader.ShardTimeline(0)) << label;
+    EXPECT_NO_THROW((void)reader.TapFlows()) << label;
+  }
+  // Most flips land in records, which load; the sweep is not all rejects.
+  EXPECT_GT(loaded_mutants, 100);
   std::remove(path.c_str());
 }
 

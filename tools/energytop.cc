@@ -1,29 +1,31 @@
 // energytop — live terminal view over a streaming Cinder trace.
 //
 // Follows a trace file a FileStreamSink is still writing (or reads a closed
-// one), feeds every record through a LiveAggregator + HealthMonitor, and
-// prints one line per closed aggregation window — flows, scheduler and
-// syscall rates, drops — plus an ALARM line whenever a health check fires.
-// When the stream finalizes (or --once drains what is on disk) it prints
-// the settled per-shard / per-worker / alarm summary from the aggregator's
-// exact running totals.
+// one) and feeds every record to a LiveAggregator with a HealthMonitor
+// attached — the same fold TraceReader runs offline, so this tool keeps no
+// record fold of its own. It prints one line per closed aggregation window
+// — flows, scheduler and syscall rates, drops — plus an ALARM line whenever
+// a health check fires. When the stream finalizes (or --once drains what is
+// on disk) it prints the settled per-shard / per-worker / alarm summary from
+// the aggregator's exact running totals.
 //
 // Usage:
 //   energytop <trace-file>                    follow until finalized
 //   energytop <trace-file> --once             drain what's on disk, summarize
-//   energytop <trace-file> --poll-ms N        poll cadence (default 200)
-//   energytop <trace-file> --window-frames N  frames per window (default 16)
+//   energytop <trace-file> --poll-ms N        poll cadence, N >= 1 (default 200)
+//   energytop <trace-file> --window-frames N  frames per window, N >= 1
+//                                             (default 16)
 //   energytop <trace-file> --alarms N         also print a scrollback of the
 //                                             last N alarms with window ids
 //                                             (bounded by the monitor's
 //                                             retention, currently 64)
 //
 // Exits 0 on success (including a clean --once on an unfinished stream),
-// 1 on a read error, 2 on a usage error.
+// 1 on a read error, 2 on a usage error (unknown flag, missing file
+// argument, or a numeric value that is not a whole number in range).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -55,16 +57,23 @@ int main(int argc, char** argv) {
   bool once = false;
   uint32_t poll_ms = 200;
   uint32_t window_frames = 16;
-  size_t alarm_scrollback = 0;
+  uint32_t alarm_scrollback = 0;
+  using cinder::tools::ParseFlagU32;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--once") == 0) {
       once = true;
     } else if (std::strcmp(argv[i], "--poll-ms") == 0 && i + 1 < argc) {
-      poll_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseFlagU32(argv[++i], 1, &poll_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--window-frames") == 0 && i + 1 < argc) {
-      window_frames = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseFlagU32(argv[++i], 1, &window_frames)) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--alarms") == 0 && i + 1 < argc) {
-      alarm_scrollback = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseFlagU32(argv[++i], 0, &alarm_scrollback)) {
+        return Usage(argv[0]);
+      }
     } else {
       return Usage(argv[0]);
     }
@@ -98,26 +107,8 @@ int main(int argc, char** argv) {
   cinder::tools::FollowOptions opts;
   opts.poll_ms = poll_ms;
   opts.once = once;
-  // Boundary-settlement accounting (articulation cuts) rides alongside the
-  // aggregator: one kBoundarySettle record per cut parent per batch.
-  uint64_t boundary_settles = 0;
-  int64_t boundary_flow = 0;
-  uint64_t boundary_lanes = 0;
-  uint64_t boundary_fused = 0;
   const auto result = cinder::tools::FollowTraceFile(
-      path, opts,
-      [&](const cinder::TraceRecord& r) {
-        if (r.kind == static_cast<uint8_t>(cinder::RecordKind::kBoundarySettle)) {
-          ++boundary_settles;
-          boundary_flow += r.v0;
-          boundary_lanes += static_cast<uint64_t>(r.v1);
-          if ((r.flags & cinder::kBoundarySettleFused) != 0) {
-            ++boundary_fused;
-          }
-        }
-        agg.OnRecord(r);
-      },
-      &error);
+      path, opts, [&agg](const cinder::TraceRecord& r) { agg.OnRecord(r); }, &error);
   if (result == cinder::tools::FollowResult::kError) {
     std::fprintf(stderr, "energytop: %s\n", error.c_str());
     return 1;
@@ -140,10 +131,11 @@ int main(int argc, char** argv) {
               " planned, %" PRIu64 " plan builds)\n",
               Mj(agg.TotalTapFlow()), Mj(agg.TotalDecayFlow()), agg.SchedPicks(),
               agg.SchedIdlePicks(), agg.SchedPlannedPicks(), agg.SchedPlanBuilds());
-  if (boundary_settles > 0) {
+  if (agg.BoundarySettles() > 0) {
     std::printf("boundary: %" PRIu64 " settles, %.3f mJ across cuts, %" PRIu64
                 " lanes applied, %" PRIu64 " fused fallbacks\n",
-                boundary_settles, Mj(boundary_flow), boundary_lanes, boundary_fused);
+                agg.BoundarySettles(), Mj(agg.BoundaryFlow()), agg.BoundaryLanesApplied(),
+                agg.FusedSettles());
   }
 
   const auto shards = agg.shard_live();
@@ -213,7 +205,7 @@ int main(int argc, char** argv) {
       // Bounded scrollback: the monitor retains the most recent alarms (64
       // by default), oldest first; show the tail the user asked for.
       const auto& retained = monitor.alarms();
-      const size_t shown = std::min(alarm_scrollback, retained.size());
+      const size_t shown = std::min<size_t>(alarm_scrollback, retained.size());
       std::printf("  last %zu of %" PRIu64 " (monitor retains %zu):\n", shown,
                   monitor.total_alarms(), retained.size());
       for (size_t i = retained.size() - shown; i < retained.size(); ++i) {

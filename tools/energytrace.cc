@@ -1,11 +1,12 @@
 // energytrace — offline dump tool for Cinder telemetry trace files.
 //
-// Reads a trace written by TraceDomain::WriteFile (the fleet example's
-// optional 4th argument, or any embedding that calls WriteFile) and prints
-// what the TraceReader can reconstruct: stream summary and kind histogram,
-// engine flow totals, per-shard tap/decay attribution, per-shard timelines,
-// worker load balance, per-thread CPU billing, and (when the fine-grained
-// kinds were enabled) per-tap flows.
+// Loads a trace written by TraceDomain::WriteFile or a FileStreamSink (the
+// fleet example's optional 4th argument) with TraceReader and prints the
+// stream summary and kind histogram from the reader, then the aggregate the
+// reader folded: engine flow totals, boundary settlement, per-shard
+// tap/decay attribution, worker load balance and per-thread CPU billing;
+// and, from the retained records, per-shard timelines and (when the
+// fine-grained kinds were enabled) per-tap flows.
 //
 // Usage:
 //   energytrace <trace-file>                 summary + totals + tables
@@ -13,13 +14,14 @@
 //   energytrace <trace-file> --taps          also print per-tap flows
 //   energytrace <trace-file> --follow        tail a streaming trace until it
 //                                            finalizes, then summarize
-//   energytrace <trace-file> --poll-ms N     follow poll cadence (default 200)
+//   energytrace <trace-file> --poll-ms N     follow poll cadence, N >= 1
+//                                            (default 200)
 //
 // Exits 0 on success, 1 on a read error, 2 on a usage error (unknown flag,
-// missing file argument).
+// missing file argument, or a numeric value that is not a whole number in
+// range).
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -74,16 +76,21 @@ int main(int argc, char** argv) {
   bool want_taps = false;
   bool follow = false;
   uint32_t poll_ms = 200;
+  using cinder::tools::ParseFlagU32;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--timeline") == 0 && i + 1 < argc) {
       want_timeline = true;
-      timeline_shard = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseFlagU32(argv[++i], 0, &timeline_shard)) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--taps") == 0) {
       want_taps = true;
     } else if (std::strcmp(argv[i], "--follow") == 0) {
       follow = true;
     } else if (std::strcmp(argv[i], "--poll-ms") == 0 && i + 1 < argc) {
-      poll_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseFlagU32(argv[++i], 1, &poll_ms)) {
+        return Usage(argv[0]);
+      }
     } else {
       return Usage(argv[0]);
     }
@@ -130,10 +137,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const cinder::LiveAggregator& agg = reader.aggregate();
   std::printf("trace: %s\n", path.c_str());
   std::printf("  records %zu, frames %" PRIu64 ", writers %u, dropped %" PRIu64
               " (ring %" PRIu64 ", spill %" PRIu64 ")\n",
-              reader.records().size(), reader.frames(), reader.writer_count(),
+              reader.records().size(), agg.frames(), reader.writer_count(),
               reader.dropped(), reader.ring_dropped(), reader.spill_dropped());
   if (reader.truncated()) {
     std::printf("  TRUNCATED stream: the writer never finalized this file (or it was "
@@ -141,9 +149,9 @@ int main(int argc, char** argv) {
   } else if (reader.dropped() > 0) {
     std::printf("  (dropped records: totals below undercount the run)\n");
   }
-  if (reader.corrupt_records() > 0) {
+  if (agg.corrupt_records() > 0) {
     std::printf("  CORRUPT records skipped: %" PRIu64 " (shard index >= %u)\n",
-                reader.corrupt_records(), cinder::kMaxTraceShards);
+                agg.corrupt_records(), cinder::kMaxTraceShards);
   }
   if (reader.complete()) {
     std::printf("  complete stream: totals are bit-for-bit engine counters\n");
@@ -156,19 +164,19 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nengine totals (from shard_batch records):\n");
-  std::printf("  tap flow   %.3f mJ (%" PRId64 " nJ)\n", Mj(reader.TotalTapFlow()),
-              reader.TotalTapFlow());
-  std::printf("  decay flow %.3f mJ (%" PRId64 " nJ)\n", Mj(reader.TotalDecayFlow()),
-              reader.TotalDecayFlow());
-  if (reader.BoundarySettles() > 0) {
+  std::printf("  tap flow   %.3f mJ (%" PRId64 " nJ)\n", Mj(agg.TotalTapFlow()),
+              agg.TotalTapFlow());
+  std::printf("  decay flow %.3f mJ (%" PRId64 " nJ)\n", Mj(agg.TotalDecayFlow()),
+              agg.TotalDecayFlow());
+  if (agg.BoundarySettles() > 0) {
     std::printf("\nboundary settlement (articulation cuts):\n");
     std::printf("  %" PRIu64 " settles, %.3f mJ across cuts, %" PRIu64
                 " lanes applied, %" PRIu64 " fused fallbacks\n",
-                reader.BoundarySettles(), Mj(reader.BoundaryFlow()),
-                reader.BoundaryLanesApplied(), reader.FusedSettles());
+                agg.BoundarySettles(), Mj(agg.BoundaryFlow()),
+                agg.BoundaryLanesApplied(), agg.FusedSettles());
   }
 
-  const auto shards = reader.FlowByShard();
+  const auto shards = agg.FlowByShard();
   if (!shards.empty()) {
     std::printf("\nper-shard flow (%zu shards):\n", shards.size());
     std::printf("  %6s %6s %8s %7s %9s %12s %12s\n", "shard", "taps", "reserves", "ranges",
@@ -179,7 +187,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto loads = reader.WorkerLoads();
+  const auto loads = agg.WorkerLoads();
   if (!loads.empty()) {
     std::printf("\nworker load balance (slot 0 = calling thread):\n");
     std::printf("  %6s %10s %10s %10s %12s\n", "worker", "dispatches", "shards", "ranges",
@@ -191,10 +199,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto charges = reader.CpuChargeByThread();
-  if (!charges.empty() || reader.SchedPicks() > 0) {
-    std::printf("\nscheduler: %" PRIu64 " picks (%" PRIu64 " idle)\n", reader.SchedPicks(),
-                reader.SchedIdlePicks());
+  const auto charges = agg.CpuChargeByThread();
+  if (!charges.empty() || agg.SchedPicks() > 0) {
+    std::printf("\nscheduler: %" PRIu64 " picks (%" PRIu64 " idle)\n", agg.SchedPicks(),
+                agg.SchedIdlePicks());
     for (const auto& c : charges) {
       std::printf("  thread %-10u %8" PRIu64 " quanta  %10.3f mJ billed\n", c.thread,
                   c.quanta, Mj(c.billed));

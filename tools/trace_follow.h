@@ -1,19 +1,21 @@
-// Shared tail-follow loop over a streaming CNDTRC01 trace file — used by
-// energytrace --follow and energytop.
+// Shared pieces of the trace tools (energytrace, energytop): strict numeric
+// flag parsing and the tail-follow loop over a streaming CNDTRC01 file.
 //
 // A FileStreamSink writes records append-only behind a placeholder header
 // (record_count 0) and patches the header once at Finish. The follower
-// exploits exactly that: it polls the file, delivers every newly complete
-// 32-byte record to the callback, and re-reads the header each round —
-// when the header's record count matches what the disk holds, the stream
-// is finalized and the follow ends. A file that stops growing without
-// finalizing (writer killed) ends the follow as kIdleTimeout so consumers
-// can report a truncated stream instead of hanging forever.
+// exploits exactly that: each sweep it probes the file (ProbeTraceFile),
+// delivers every newly complete 32-byte record to the callback, and checks
+// the header it just read — when the header's record count matches what it
+// delivered, the stream is finalized and the follow ends. A file that stops
+// growing without finalizing (writer killed) ends the follow as
+// kIdleTimeout so consumers can report a truncated stream instead of
+// hanging forever.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -22,6 +24,30 @@
 
 namespace cinder {
 namespace tools {
+
+// Parses a whole decimal flag value into *out: digits only, at least
+// `min`, at most UINT32_MAX. Anything else ("abc", "", "-1", "5ms", an
+// overflow) returns false, so the caller can print its usage line.
+inline bool ParseFlagU32(const char* s, uint32_t min, uint32_t* out) {
+  uint64_t v = 0;
+  if (*s == '\0') {
+    return false;
+  }
+  for (; *s != '\0'; ++s) {
+    if (*s < '0' || *s > '9') {
+      return false;
+    }
+    v = v * 10 + static_cast<uint64_t>(*s - '0');
+    if (v > UINT32_MAX) {
+      return false;
+    }
+  }
+  if (v < min) {
+    return false;
+  }
+  *out = static_cast<uint32_t>(v);
+  return true;
+}
 
 struct FollowOptions {
   uint32_t poll_ms = 200;
@@ -45,6 +71,7 @@ enum class FollowResult {
 template <typename OnRecord>
 FollowResult FollowTraceFile(const std::string& path, const FollowOptions& opt,
                              OnRecord&& on_record, std::string* error = nullptr) {
+  using Clock = std::chrono::steady_clock;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     if (error != nullptr) {
@@ -52,33 +79,21 @@ FollowResult FollowTraceFile(const std::string& path, const FollowOptions& opt,
     }
     return FollowResult::kError;
   }
-  TraceFileHeader h{};
-  if (std::fread(&h, sizeof(h), 1, f) != 1 ||
-      std::memcmp(h.magic, kTraceFileMagic, sizeof(h.magic)) != 0 ||
-      h.record_size != sizeof(TraceRecord)) {
-    std::fclose(f);
-    if (error != nullptr) {
-      *error = path + ": not a Cinder trace (bad magic or record size)";
-    }
-    return FollowResult::kError;
-  }
   uint64_t delivered = 0;
-  uint32_t idle_ms = 0;
+  Clock::time_point last_growth = Clock::now();
   for (;;) {
-    // Sweep: everything complete on disk beyond what we've delivered.
-    long end = 0;
-    if (std::fseek(f, 0, SEEK_END) != 0 || (end = std::ftell(f)) < 0) {
+    // Sweep: everything complete on disk beyond what we've delivered. The
+    // header is read before the length, and the writer patches
+    // record_count only after its last record, so a final count is always
+    // backed by the records this sweep sees.
+    TraceFileExtent extent;
+    if (!ProbeTraceFile(f, path, &extent, error)) {
       std::fclose(f);
-      if (error != nullptr) {
-        *error = path + ": unseekable";
-      }
       return FollowResult::kError;
     }
-    const uint64_t on_disk =
-        (static_cast<uint64_t>(end) - sizeof(TraceFileHeader)) / sizeof(TraceRecord);
-    bool grew = false;
+    const uint64_t on_disk = extent.records;
     if (on_disk > delivered) {
-      grew = true;
+      last_growth = Clock::now();
       std::fseek(f, static_cast<long>(sizeof(TraceFileHeader) + delivered * sizeof(TraceRecord)),
                  SEEK_SET);
       TraceRecord buf[256];
@@ -95,29 +110,25 @@ FollowResult FollowTraceFile(const std::string& path, const FollowOptions& opt,
         }
       }
     }
-    // Finalized? The writer patches record_count last, so a nonzero count
-    // matching what we delivered means the stream is complete. A zero count
-    // is ambiguous (placeholder header vs an empty finalized run), so
-    // follow mode resolves it through the idle timeout, never eagerly.
-    std::fseek(f, 0, SEEK_SET);
-    if (std::fread(&h, sizeof(h), 1, f) == 1 && h.record_count == delivered &&
-        h.record_count > 0) {
+    // Finalized? A nonzero count matching what we delivered means the
+    // stream is complete. A zero count is ambiguous (placeholder header vs
+    // an empty finalized run), so follow mode resolves it through the idle
+    // timeout, never eagerly.
+    const uint64_t count = extent.header.record_count;
+    if (count == delivered && count > 0) {
       std::fclose(f);
       return FollowResult::kFinalized;
     }
     if (opt.once) {
       std::fclose(f);
-      return h.record_count == delivered ? FollowResult::kFinalized
-                                         : FollowResult::kIdleTimeout;
+      return count == delivered ? FollowResult::kFinalized : FollowResult::kIdleTimeout;
     }
-    if (grew) {
-      idle_ms = 0;
-    } else {
-      idle_ms += opt.poll_ms;
-      if (opt.idle_timeout_ms > 0 && idle_ms >= opt.idle_timeout_ms) {
-        std::fclose(f);
-        return FollowResult::kIdleTimeout;
-      }
+    // Idle time is wall time since the last growth, so it advances however
+    // short the poll interval is.
+    if (opt.idle_timeout_ms > 0 &&
+        Clock::now() - last_growth >= std::chrono::milliseconds(opt.idle_timeout_ms)) {
+      std::fclose(f);
+      return FollowResult::kIdleTimeout;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(opt.poll_ms));
   }
