@@ -223,27 +223,35 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(agg.windows_closed()),
               sim.telemetry().spill_size(), sim.telemetry().spill_capacity());
 
-  // Per-shard tap flow attribution for the first few phones — the same
-  // fold TraceReader runs offline, answered live.
+  // Tap flow attribution per work item (the engine packs many phones into
+  // one work unit and writes one record per unit per batch) — the same fold
+  // TraceReader runs offline, answered live.
   const auto shards = agg.FlowByShard();
-  TableWriter table("Per-shard flow from live telemetry (first 8 shards)");
-  table.SetColumns({"shard", "taps", "decay reserves", "batches", "tap flow (mJ)",
-                    "decay flow (mJ)"});
+  TableWriter table("Flow per work item from live telemetry (first 8 rows)");
+  table.SetColumns({"first shard", "shards", "taps", "decay reserves", "batches",
+                    "tap flow (mJ)", "decay flow (mJ)"});
   const size_t show = shards.size() < 8 ? shards.size() : 8;
   for (size_t s = 0; s < show; ++s) {
-    table.AddRow({std::to_string(shards[s].shard), std::to_string(shards[s].taps),
-                  std::to_string(shards[s].decay_reserves),
+    table.AddRow({std::to_string(shards[s].shard), std::to_string(shards[s].shards),
+                  std::to_string(shards[s].taps), std::to_string(shards[s].decay_reserves),
                   std::to_string(shards[s].batches),
                   TableWriter::Num(ToEnergy(shards[s].tap_flow).millijoules_f()),
                   TableWriter::Num(ToEnergy(shards[s].decay_flow).millijoules_f())});
   }
   table.Print();
 
-  // The windowed view a single total cannot give: per-shard flow EWMAs.
-  const auto& live = agg.shard_live();
-  if (!live.empty() && live[0].seen) {
-    std::printf("\nphone 0 live: %.4f mJ/window tap EWMA, %.4f mJ/window decay EWMA\n",
-                live[0].tap_flow_ewma / 1e6, live[0].decay_flow_ewma / 1e6);
+  // The windowed view a single total cannot give: per-row flow EWMAs. One
+  // phone's exact flow is the engine's own per-shard bank.
+  if (const LiveAggregator::ShardLive* row0 = agg.row(0)) {
+    std::printf("\nwork item at shard 0 (%u shards) live: %.4f mJ/window tap EWMA, "
+                "%.4f mJ/window decay EWMA\n",
+                row0->shards, row0->tap_flow_ewma / 1e6, row0->decay_flow_ewma / 1e6);
+  }
+  if (!taps.shard_stats().empty()) {
+    const TapEngine::ShardStats& phone0 = taps.shard_stats()[0];
+    std::printf("phone 0 exact (engine shard stats): tap flow %s, decay flow %s\n",
+                ToEnergy(phone0.tap_flow).ToString().c_str(),
+                ToEnergy(phone0.decay_flow).ToString().c_str());
   }
 
   Quantity tap_flow = 0;

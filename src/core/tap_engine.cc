@@ -391,7 +391,6 @@ void TapEngine::RebuildPlan() {
     ++group_size_[plan_group_[i]];
   }
 
-  scratch_.assign(num_shards_, ShardScratch{});
   stats_.assign(num_shards_, ShardStats{});
   for (uint32_t s = 0; s < num_shards_; ++s) {
     stats_[s].taps = shard_plan_begin_[s + 1] - shard_plan_begin_[s];
@@ -567,7 +566,8 @@ void TapEngine::BuildTicketTables() {
   // joins the open work unit, a run of consecutive whole shards — hence one
   // contiguous plan range — closed once its weight reaches kUnitWeight. A
   // shard that alone reaches it, or a split or cut shard between two whole
-  // ones, closes the open unit first.
+  // ones, closes the open unit first. A unit also closes at kMaxUnitShards
+  // shards, so zero-weight shards cannot grow its span past a record's aux.
   std::vector<WorkItem>& items = work_items_;
   items.clear();
   WorkItem open{0, 0, 0};
@@ -611,7 +611,7 @@ void TapEngine::BuildTicketTables() {
     }
     open.end = s + 1;
     open.weight += w;
-    if (open.weight >= kUnitWeight) {
+    if (open.weight >= kUnitWeight || open.end - open.begin >= kMaxUnitShards) {
       close_open();
     }
   }
@@ -625,20 +625,28 @@ void TapEngine::BuildTicketTables() {
   // Ticket tables, in that item order. Pass 1 covers every shard — one
   // kWholeShard ticket per work unit, range tickets for split shards, one
   // kCutParent ticket per cut parent; pass 2 is the split shards' ranges.
-  // Empty tail ranges (entries < k) get no tickets.
+  // Empty tail ranges (entries < k) get no tickets. Item i owns tally_[i].
   tickets_pass1_.clear();
   tickets_pass2_.clear();
+  split_item_.assign(split_shards_.size(), 0);
+  parent_item_.assign(cut_parents_.size(), 0);
+  tally_.assign(items.size(), ItemTally{});
   const uint32_t k = split_k_;
-  for (const WorkItem& item : items) {
+  for (uint32_t i = 0; i < items.size(); ++i) {
+    const WorkItem& item = items[i];
     const uint32_t s = item.begin;
     const uint32_t u = split_of_shard_[s];
     if (u == kNoSplit) {
       const uint32_t p = shard_cut_parent_[s];
-      tickets_pass1_.push_back(p != kNoCut
-                                   ? ShardTicket{s, p, 0, ShardTicketKind::kCutParent}
-                                   : ShardTicket{s, 0, 0, ShardTicketKind::kWholeShard, item.end});
+      if (p != kNoCut) {
+        parent_item_[p] = i;
+        tickets_pass1_.push_back(ShardTicket{s, p, 0, ShardTicketKind::kCutParent});
+      } else {
+        tickets_pass1_.push_back(ShardTicket{s, i, 0, ShardTicketKind::kWholeShard, item.end});
+      }
       continue;
     }
+    split_item_[u] = i;
     const uint32_t* bounds = range_bounds_.data() + static_cast<size_t>(u) * (k + 1);
     uint32_t nonempty = 0;
     for (uint32_t r = 0; r < k; ++r) {
@@ -666,6 +674,7 @@ void TapEngine::BuildCutPlan() {
   fused_dst_shard_.clear();
   parent_fused_begin_.clear();
   parent_fused_.clear();
+  member_flow_.clear();
   if (!sharding_ || num_shards_ <= 1 || !partitioner_->valid()) {
     return;
   }
@@ -826,13 +835,24 @@ void TapEngine::BuildCutPlan() {
     }
   }
   parent_fused_.assign(np, 0);
+  member_flow_.assign(num_shards_, 0);
 }
 
 void TapEngine::EmitPlanRecords() {
-  // Rebuild-time, main thread: size one writer ring per pool slot (the caller
-  // is slot 0) and dump the plan tables straight into the spill — they scale
-  // with the plan, not with any ring's capacity.
-  telem_->EnsureWriters(executor_ != nullptr ? static_cast<uint32_t>(executor_->workers()) : 1);
+  // Rebuild-time, main thread: one writer ring per pool slot (the caller is
+  // slot 0), each sized for the plan's per-batch bound — any one worker may
+  // run every ticket. A ticket writes at most a dispatch, a timing, a
+  // kShardBatch and a sink-leak record, and the merge one battery deposit
+  // per item; a cut parent adds one kShardBatch per further member and its
+  // kBoundarySettle. The slack covers the scheduler and syscall records that
+  // land in ring 0 between flushes. Then dump the plan tables straight into
+  // the spill — they scale with the plan, not with any ring's capacity.
+  constexpr uint64_t kRecordsPerTicket = 5;
+  constexpr uint64_t kRingSlack = 256;
+  const uint64_t bound = (tickets_pass1_.size() + tickets_pass2_.size()) * kRecordsPerTicket +
+                         parent_shards_.size() + kRingSlack;
+  telem_->EnsureWriters(executor_ != nullptr ? static_cast<uint32_t>(executor_->workers()) : 1,
+                        static_cast<uint32_t>(std::min<uint64_t>(bound, UINT32_MAX / 2)));
   for (uint32_t s = 0; s < num_shards_; ++s) {
     telem_->EmitSpill(RecordKind::kPlanShard, s, static_cast<uint16_t>(stats_[s].ranges), 0,
                       stats_[s].taps, stats_[s].decay_reserves);
@@ -863,20 +883,16 @@ void TapEngine::EmitPlanRecords() {
   }
 }
 
-void TapEngine::DepositToSink(Reserve* sink, Quantity amount, TraceRing* ring) {
+Quantity TapEngine::DepositToSink(Reserve* sink, Quantity amount) {
   // Reserve::Deposit on the bank arrays, minus its reserve-op epoch bump: a
   // leak deposit implies decay flow, so RunBatch's one NoteReserveOp covers
   // it. The sink is attached (every reserve is, while a plan is live), and
   // when it is decay-wired its list is the one the sink's own shard runs.
   const uint32_t slot = sink->bank_slot();
-  Quantity* const lvl = rbank_.levels();
-  if (DepositRelists(lvl, rbank_.deposited(), rbank_.flags(), slot, amount)) {
+  if (DepositRelists(rbank_.levels(), rbank_.deposited(), rbank_.flags(), slot, amount)) {
     decay_active_[sink->decay_shard()].push_back(slot);
   }
-  if (ring != nullptr) {
-    ring->Emit(telem_->time_us(), RecordKind::kReserveDeposit, static_cast<uint32_t>(sink->id()),
-               0, kReserveOpDecayLeak, amount, lvl[slot]);
-  }
+  return amount;
 }
 
 void TapEngine::RunBatch(Duration dt) {
@@ -958,9 +974,11 @@ void TapEngine::RunBatch(Duration dt) {
       FinalizeSplitShard(u);
     }
   }
-  // Deterministic merge, in shard order: engine totals, per-shard stats, and
-  // the decay leakage each shard banked for the battery root (a shard with
-  // its own sink under decay_to_shard_root settled it in FinishShard).
+  // Deterministic merge, in item order: engine totals and the decay leakage
+  // each work item banked for the battery root (shards with their own sink
+  // under decay_to_shard_root settled theirs in FinishShard; the tickets
+  // already added every shard's flow to its stats). Integer adds, so the
+  // totals and the battery's level are the shard-order ones bit for bit.
   // Deferring these deposits here is what keeps the battery's shard
   // race-free — and it exactly matches the unsharded engine, where every tap
   // reads the battery before the decay pass touches it.
@@ -968,18 +986,15 @@ void TapEngine::RunBatch(Duration dt) {
   TraceRing* const ring = telem_reserve_ops_ ? WorkerRing() : nullptr;
   Quantity tap_flow = 0;
   Quantity decay_flow = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    const ShardScratch& sc = scratch_[s];
-    tap_flow += sc.tap_flow;
-    decay_flow += sc.decay_flow;
-    stats_[s].tap_flow += sc.tap_flow;
-    stats_[s].decay_flow += sc.decay_flow;
-    if (battery != nullptr) {
-      if (sc.decay_leak > 0) {
-        DepositToSink(battery, sc.decay_leak, ring);
-      }
-      if (sc.decay_stray > 0) {
-        DepositToSink(battery, sc.decay_stray, ring);
+  for (const ItemTally& t : tally_) {
+    tap_flow += t.tap_flow;
+    decay_flow += t.decay_flow;
+    if (battery != nullptr && t.battery_leak > 0) {
+      DepositToSink(battery, t.battery_leak);
+      if (ring != nullptr) {
+        ring->Emit(telem_->time_us(), RecordKind::kReserveDeposit,
+                   static_cast<uint32_t>(battery->id()), 0, kReserveOpDecayLeak, t.battery_leak,
+                   battery->level());
       }
     }
   }
@@ -1014,7 +1029,7 @@ void TapEngine::Dispatch(const std::vector<ShardTicket>& tickets, bool use_pool)
 void TapEngine::RunTicket(const ShardTicket& t) {
   switch (t.kind) {
     case ShardTicketKind::kWholeShard:
-      RunUnit(t.shard, t.shard_end);
+      RunUnit(t.shard, t.shard_end, t.slot);
       break;
     case ShardTicketKind::kPass1Range:
       RunPass1Range(t.slot, t.range);
@@ -1028,7 +1043,7 @@ void TapEngine::RunTicket(const ShardTicket& t) {
   }
 }
 
-inline void TapEngine::RunUnit(uint32_t first, uint32_t last) {
+inline void TapEngine::RunUnit(uint32_t first, uint32_t last, uint32_t item) {
   // Per shard, two passes. Pass 1 computes each tap's demand for this batch;
   // pass 2 executes transfers in id (creation) order, giving taps that
   // contend for the same constrained source a proportional share of whatever
@@ -1040,7 +1055,7 @@ inline void TapEngine::RunUnit(uint32_t first, uint32_t last) {
   // unit's shards share nothing, so running them back to back in index
   // order is the whole-shard loop itself.
   const int64_t t0 = telem_shard_timing_ ? NowNs() : 0;
-  TraceRing* const ring = telem_on_ ? WorkerRing() : nullptr;
+  ItemFlow sums;
   uint32_t shard = first;  // A unit is never empty.
   do {
     const uint32_t begin = shard_plan_begin_[shard];
@@ -1057,8 +1072,13 @@ inline void TapEngine::RunUnit(uint32_t first, uint32_t last) {
       DemandPass(shard, begin, end, group_base_, plan_group_.data());
       flow = TransferPass<false, false>(shard, begin, end);
     }
-    FinishShard(shard, flow, ring);
+    FinishShard(shard, flow, &sums);
   } while (++shard < last);
+  TraceRing* const ring = WorkerRing();
+  if (ring != nullptr) {
+    EmitBatch(ring, first, last - first, sums.tap, sums.decay);
+  }
+  FinishItem(item, first, sums, ring);
   if (telem_shard_timing_) {
     EmitShardTiming(first, last - first, t0);
   }
@@ -1152,7 +1172,7 @@ bool TapEngine::GroupFits(uint32_t group, const Quantity* lvl) const {
   return total == 0.0 || (level > 0 && total <= static_cast<double>(level) * (1.0 - 1e-6));
 }
 
-inline void TapEngine::FinishShard(uint32_t shard, Quantity tap_flow, TraceRing* ring) {
+inline Quantity TapEngine::FinishShard(uint32_t shard, Quantity tap_flow, ItemFlow* item) {
   const DecayResult dr = decay_.enabled ? DecayShard(shard) : DecayResult{};
   // In-ticket sink settlement (decay_to_shard_root): the sink is the
   // smallest-id energy reserve of this shard (of its cut parent, for a cut
@@ -1161,12 +1181,39 @@ inline void TapEngine::FinishShard(uint32_t shard, Quantity tap_flow, TraceRing*
   // is exactly the merge's deposit moved earlier — integer adds in the same
   // order per sink (a cut parent's members finish in ascending shard order).
   Reserve* const sink = decay_to_root_ && dr.leak > 0 ? shard_sink_[shard] : nullptr;
-  scratch_[shard] = ShardScratch{tap_flow, sink != nullptr ? 0 : dr.leak, dr.flow, dr.stray};
-  if (ring != nullptr && telem_shard_batch_) {
-    ring->Emit(telem_->time_us(), RecordKind::kShardBatch, shard, 0, 0, tap_flow, dr.flow);
-  }
+  ShardStats& st = stats_[shard];
+  st.tap_flow += tap_flow;
+  st.decay_flow += dr.flow;
+  item->tap += tap_flow;
+  item->decay += dr.flow;
+  item->battery += sink != nullptr ? dr.stray : dr.leak + dr.stray;
   if (sink != nullptr) {
-    DepositToSink(sink, dr.leak, telem_reserve_ops_ ? ring : nullptr);
+    item->sink_leak += DepositToSink(sink, dr.leak);
+    ++item->sink_deposits;
+  }
+  return dr.flow;
+}
+
+inline void TapEngine::FinishItem(uint32_t item, uint32_t first, const ItemFlow& flow,
+                                  TraceRing* ring) {
+  tally_[item] = ItemTally{flow.tap, flow.battery, flow.decay};
+  if (ring != nullptr && flow.sink_deposits > 0) {
+    EmitUnitLeak(ring, first, flow);
+  }
+}
+
+void TapEngine::EmitBatch(TraceRing* ring, uint32_t first, uint32_t shards, Quantity tap_flow,
+                          Quantity decay_flow) const {
+  if (telem_shard_batch_) {
+    ring->Emit(telem_->time_us(), RecordKind::kShardBatch, first, static_cast<uint16_t>(shards),
+               0, tap_flow, decay_flow);
+  }
+}
+
+void TapEngine::EmitUnitLeak(TraceRing* ring, uint32_t first, const ItemFlow& flow) const {
+  if (telem_reserve_ops_) {
+    ring->Emit(telem_->time_us(), RecordKind::kReserveDeposit, first, 0, kReserveOpUnitLeak,
+               flow.sink_leak, flow.sink_deposits);
   }
 }
 
@@ -1354,9 +1401,16 @@ void TapEngine::FinalizeSplitShard(uint32_t split) {
   if (split_slow_entries_[split] > 0) {
     flow += TransferPass<true, false>(shard, bounds[0], bounds[split_k_]);
   }
-  // Split shards' per-range work is covered by kRangeTiming; the batch record
-  // itself is written here, on the (serial) finalize thread.
-  FinishShard(shard, flow, WorkerRing());
+  // Split shards' per-range work is covered by kRangeTiming; the shard is a
+  // work item of its own, whose records are written here, on the (serial)
+  // finalize thread.
+  ItemFlow sums;
+  const Quantity decay = FinishShard(shard, flow, &sums);
+  TraceRing* const ring = WorkerRing();
+  if (ring != nullptr) {
+    EmitBatch(ring, shard, 1, flow, decay);
+  }
+  FinishItem(split_item_[split], shard, sums, ring);
 }
 
 void TapEngine::RunCutParent(uint32_t parent) {
@@ -1397,7 +1451,7 @@ void TapEngine::RunCutParent(uint32_t parent) {
   uint32_t applied = 0;
   if (fused != 0) {
     for (uint32_t j = 0; j < nm; ++j) {
-      scratch_[members[j]].tap_flow = 0;
+      member_flow_[members[j]] = 0;
     }
     RunFusedParent(parent, &settled, &applied);
   } else {
@@ -1408,7 +1462,7 @@ void TapEngine::RunCutParent(uint32_t parent) {
     std::fill(moved + cb, moved + ce, Quantity{0});
     for (uint32_t j = 0; j < nm; ++j) {
       const uint32_t s = members[j];
-      scratch_[s].tap_flow =
+      member_flow_[s] =
           TransferPass<false, true>(s, shard_plan_begin_[s], shard_plan_begin_[s + 1]);
     }
     Quantity* const dep = rbank_.deposited();
@@ -1427,10 +1481,18 @@ void TapEngine::RunCutParent(uint32_t parent) {
     }
   }
   // Member decay after the settlement, matching the uncut engine where a
-  // component's decay sees every tap deposit of the batch.
+  // component's decay sees every tap deposit of the batch. Members need not
+  // be contiguous, so each keeps a kShardBatch of its own; the parent is one
+  // work item, with one tally and one sink-leak record.
+  ItemFlow sums;
   for (uint32_t j = 0; j < nm; ++j) {
-    FinishShard(members[j], scratch_[members[j]].tap_flow, ring);
+    const uint32_t s = members[j];
+    const Quantity decay = FinishShard(s, member_flow_[s], &sums);
+    if (ring != nullptr) {
+      EmitBatch(ring, s, 1, member_flow_[s], decay);
+    }
   }
+  FinishItem(parent_item_[parent], members[0], sums, ring);
   if (telem_shard_timing_) {
     EmitShardTiming(members[0], nm, t0);
   }
@@ -1472,7 +1534,7 @@ void TapEngine::RunFusedParent(uint32_t parent, Quantity* settled, uint32_t* app
       decay_active_[fused_dst_shard_[j]].push_back(dst_slot[i]);
     }
     ttrans[ti] += moved;
-    scratch_[s].tap_flow += moved;
+    member_flow_[s] += moved;
     if (entry_cut_[i] != kNoCut) {
       *settled += moved;
       ++*applied;

@@ -18,10 +18,13 @@
 // a fleet of thousands of tiny components costs a few hundred work items,
 // not one per component. Units run serially, or on a ShardExecutor worker
 // pool (heaviest first, so one giant component never serializes the tail of
-// a batch). Cross-shard state (flow totals, decay leakage into the battery
-// root) is accumulated per shard and merged after the batch in shard order;
-// a shard's leakage into its own sink is settled inside its ticket. Results
-// are bit-identical to the unsharded engine regardless of worker count.
+// a batch). Each ticket adds its shards' flow to their per-shard stats and
+// leaves one tally per work item (flow totals, decay leakage bound for the
+// battery root), which the serial merge sums in item order — O(work items),
+// not O(shards); a shard's leakage into its own sink is settled inside its
+// ticket. Results are bit-identical to the unsharded engine regardless of
+// worker count. Telemetry follows the same grain: one kShardBatch and at most
+// one sink-leak record per work item (src/telemetry/trace_record.h).
 //
 // One batch pipeline serves every mode (unsharded, sharded, range-split, cut):
 // pass-1 tickets, then — only when a shard is range-split — the serial split
@@ -151,7 +154,8 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // plan build, i.e. after any batch.
   uint32_t shard_count() const { return num_shards_; }
 
-  // Per-shard accounting since the last plan rebuild (sharded mode).
+  // Per-shard accounting since the last plan rebuild (sharded mode): the
+  // exact per-shard flow, kept here while the trace carries it per work item.
   struct ShardStats {
     uint32_t taps = 0;            // Plan entries in the shard.
     uint32_t decay_reserves = 0;  // Energy reserves whose decay runs here.
@@ -166,16 +170,19 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // Unit sizes from 256 to 4,096 measured the same on the 20k-phone fleet
   // (docs/PERFORMANCE.md, "Work units").
   static constexpr uint32_t kUnitWeight = 1024;
+  // A unit also closes at this many shards, however light they are, so its
+  // shard span always fits a record's 16-bit aux field.
+  static constexpr uint32_t kMaxUnitShards = UINT16_MAX;
   // A shard's packing weight: its plan entries plus its decay-list reserves.
   uint32_t shard_weight(uint32_t shard) const {
     return stats_[shard].taps + stats_[shard].decay_reserves;
   }
   // The pass-1 ticket table in the order it is handed to the executor: work
-  // units (kWholeShard, shards [shard, shard_end)), split shards' ranges
-  // (each weighted by its shard's weight / ranges) and one kCutParent per cut
-  // component (weighted by its members' sum), heaviest first, so a giant
-  // ticket starts immediately instead of serializing the tail of the batch.
-  // Results never depend on it.
+  // units (kWholeShard, shards [shard, shard_end), work item `slot`), split
+  // shards' ranges (each weighted by its shard's weight / ranges) and one
+  // kCutParent per cut component (weighted by its members' sum), heaviest
+  // first, so a giant ticket starts immediately instead of serializing the
+  // tail of the batch. Results never depend on it.
   const std::vector<ShardTicket>& pass1_tickets() const { return tickets_pass1_; }
   // The pass-2 ticket table: the split shards' kPass2Range tickets only.
   const std::vector<ShardTicket>& pass2_tickets() const { return tickets_pass2_; }
@@ -198,9 +205,10 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   }
 
   // -- Telemetry ----------------------------------------------------------------
-  // Attaches a trace domain: batches emit per-shard flow/timing records into
-  // per-worker rings and flush one frame per batch; plan rebuilds size the
-  // writer slots and dump the plan tables. Takes effect on the next batch
+  // Attaches a trace domain: batches emit per-work-item flow/timing records
+  // into per-worker rings and flush one frame per batch; plan rebuilds size
+  // the writer slots and their rings (to the plan's per-batch record bound)
+  // and dump the plan tables. Takes effect on the next batch
   // (the plan is invalidated so the rebuild can do the cold setup). The
   // engine does not own the domain; null detaches.
   void set_telemetry(TraceDomain* domain) {
@@ -241,17 +249,25 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
     Reserve* dst;
   };
 
-  // Per-shard batch accumulators, merged (in shard order) after the parallel
-  // phase. Cache-line sized so concurrent shards never false-share. FinishShard
-  // writes all four fields at once, as 8-byte stores; tap_flow and decay_flow
-  // are kept apart so the merge, which runs right after for a one-shard batch,
+  // Per-work-item batch tally, written once per batch by the item's ticket
+  // (a split shard's by its serial finalize) and summed by the merge in item
+  // order. Cache-line sized so concurrent items never false-share. The three
+  // fields are written at once, as 8-byte stores; tap_flow and decay_flow are
+  // kept apart so the merge, which runs right after for a one-shard batch,
   // does not read them as one 16-byte pair that the CPU cannot forward from
   // two separate pending stores.
-  struct alignas(64) ShardScratch {
+  struct alignas(64) ItemTally {
     Quantity tap_flow = 0;
-    Quantity decay_leak = 0;  // Banked for the battery root / shard sink.
+    Quantity battery_leak = 0;  // Leakage bound for the battery root.
     Quantity decay_flow = 0;
-    Quantity decay_stray = 0;  // Stray reserves' leakage: always the battery.
+  };
+  // A work item's running sums over its shards' finishes, kept in the ticket.
+  struct ItemFlow {
+    Quantity tap = 0;
+    Quantity decay = 0;
+    Quantity battery = 0;  // Shards without a sink, plus strays' leakage.
+    Quantity sink_leak = 0;  // Summed at the sink deposits themselves.
+    uint32_t sink_deposits = 0;
   };
 
   bool PlanIsCurrent() const {
@@ -300,8 +316,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void WriteBackBank();
   // -- The batch steps, each written once ---------------------------------------
   // A kWholeShard ticket: for each shard of the unit in index order, pass 1,
-  // pass 2 and the shard's finish; then the unit's one kShardTiming record.
-  void RunUnit(uint32_t first, uint32_t last);
+  // pass 2 and the shard's finish; then the unit's tally and its records —
+  // one kShardBatch, at most one sink-leak deposit, one kShardTiming.
+  void RunUnit(uint32_t first, uint32_t last, uint32_t item);
   // The pass-1 loop over plan entries [begin, end) of `shard`: each enabled
   // tap's want goes to want_ and is added to demand[slot_of[i]] — the
   // shard's group totals (slot_of = plan_group_) or a range's private lane
@@ -317,12 +334,20 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // A group whose total demand provably fits its source's opening level:
   // scale == 1 and no clamp for each of its entries in any execution order.
   bool GroupFits(uint32_t group, const Quantity* lvl) const;
-  // The end of one shard's batch: the decay slice, the shard's whole scratch
-  // (tap_flow is the flow its tap passes moved), its kShardBatch record, and
-  // — with decay_to_shard_root — the deposit of its leakage into its sink
-  // (a cut member's is its parent's shared sink). `ring` is the calling
-  // worker's ring (null: no records).
-  void FinishShard(uint32_t shard, Quantity tap_flow, TraceRing* ring);
+  // The end of one shard's batch: the decay slice, the shard's stats (tap_flow
+  // is the flow its tap passes moved), its sums into `item`, and — with
+  // decay_to_shard_root — the deposit of its leakage into its sink (a cut
+  // member's is its parent's shared sink). Returns the shard's decay flow.
+  Quantity FinishShard(uint32_t shard, Quantity tap_flow, ItemFlow* item);
+  // The end of one work item's batch: its tally, and into `ring` (null: no
+  // records) its sink-leak record when any shard deposited into a sink.
+  void FinishItem(uint32_t item, uint32_t first, const ItemFlow& flow, TraceRing* ring);
+  // Into a non-null `ring`: one kShardBatch record for `shards` shards from
+  // `first`; an item's kReserveOpUnitLeak record. Both check their mask bit.
+  // Out of line, like the timing records: the unit loop stays small.
+  void EmitBatch(TraceRing* ring, uint32_t first, uint32_t shards, Quantity tap_flow,
+                 Quantity decay_flow) const;
+  void EmitUnitLeak(TraceRing* ring, uint32_t first, const ItemFlow& flow) const;
   struct DecayResult {
     Quantity flow = 0;
     Quantity leak = 0;   // flow minus stray: banked for the battery root / shard sink.
@@ -337,10 +362,9 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   void EmitShardTiming(uint32_t first, uint32_t shards, int64_t t0);
   void EmitRangeTiming(uint32_t shard, uint32_t range, uint8_t pass, int64_t t0);
   void EmitPlanRecords();
-  // A sink settlement: one leak deposit through the bank (with the decay
-  // re-add when it refills the sink) plus its kReserveDeposit record into
-  // `ring` when reserve ops are traced.
-  void DepositToSink(Reserve* sink, Quantity amount, TraceRing* ring);
+  // A sink settlement: one leak deposit through the bank, with the decay
+  // re-add when it refills the sink. Returns the amount deposited.
+  Quantity DepositToSink(Reserve* sink, Quantity amount);
 
   Kernel* kernel_;
   ObjectId battery_reserve_;
@@ -422,7 +446,7 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<Quantity> deferred_amt_;
   std::vector<uint32_t> pending_slot_;
   // Per-range batch accumulators (flow moved, deferred/pending counts),
-  // cache-line sized like ShardScratch so concurrent ranges never false-share.
+  // cache-line sized like ItemTally so concurrent ranges never false-share.
   struct alignas(64) RangeScratch {
     Quantity tap_flow = 0;
     uint32_t n_deferred = 0;
@@ -442,6 +466,7 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   // otherwise) heaviest first; pass 2 covers only split shards' ranges.
   std::vector<ShardTicket> tickets_pass1_;
   std::vector<ShardTicket> tickets_pass2_;
+  std::vector<uint32_t> split_item_;  // Split slot -> work item (its tally).
   // Rebuild-only scratch for BuildSplitPlan (stamp maps over groups/slots).
   std::vector<uint32_t> split_group_stamp_;
   std::vector<uint32_t> split_group_lane_;
@@ -483,8 +508,12 @@ class TapEngine final : public KernelObserver, public ShardTask, public ReserveD
   std::vector<uint32_t> fused_dst_shard_;
   std::vector<uint32_t> parent_fused_begin_;  // CSR over fused_entries_.
   std::vector<uint8_t> parent_fused_;         // Per batch: 1 = fused fallback.
+  std::vector<uint32_t> parent_item_;         // Dense parent -> work item.
+  // Per shard, written by its cut parent's ticket only: the member's tap flow
+  // between its pass 2 and its finish. Empty when nothing is cut.
+  std::vector<Quantity> member_flow_;
 
-  std::vector<ShardScratch> scratch_;
+  std::vector<ItemTally> tally_;  // One per work item, in ticket-table order.
   std::vector<ShardStats> stats_;
   Reserve* battery_cache_ = nullptr;
   uint64_t plan_epoch_ = 0;

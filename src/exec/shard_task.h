@@ -25,7 +25,8 @@ enum class ShardTicketKind : uint8_t {
 };
 
 // One claimable unit of batch work. `shard` is the (first) shard it runs; a
-// kWholeShard ticket's unit ends before `shard_end`. The range kinds carry
+// kWholeShard ticket's unit ends before `shard_end`, and `slot` is its dense
+// work-item index (the producer's per-item tally). The range kinds carry
 // the producer's dense split-slot index in `slot` (its table of split
 // shards) and the range number within it; kCutParent carries the dense
 // cut-parent index in `slot`.

@@ -104,9 +104,9 @@ void HealthMonitor::OnWindow(const LiveAggregator& agg, const WindowStats& w) {
 
   if (cfg_.check_stall) {
     for (const auto& s : agg.shard_live()) {
-      // window_batches > 0 keeps shards that left the plan (topology
-      // change) from alarming forever on their residual EWMA.
-      if (s.seen && s.taps > 0 && s.window_batches > 0 && s.window_tap_flow == 0 &&
+      // window_batches > 0 keeps rows that left the plan (a topology change
+      // or a repacking) from alarming forever on their residual EWMA.
+      if (s.taps > 0 && s.window_batches > 0 && s.window_tap_flow == 0 &&
           s.ewma_primed && s.tap_flow_ewma > cfg_.stall_min_ewma_nj) {
         Raise(AlarmKind::kShardStall, w, s.shard, 0,
               static_cast<int64_t>(std::llround(s.tap_flow_ewma)));

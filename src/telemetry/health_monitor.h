@@ -6,14 +6,17 @@
 // a bounded retained log. The catalog (docs/TELEMETRY.md has the full
 // semantics):
 //
-//   kConservationDrift  Tap-pass decay outflow vs the decay-leak deposits
-//                       the reserves actually received. Every decay batch
-//                       emits both a kShardBatch (v1 = decay flow) and the
-//                       matching kReserveOpDecayLeak deposit records, so on
-//                       a complete stream the window sums are equal to the
-//                       nanojoule. The check arms on the first window that
-//                       carries any leak deposit (masks without reserve ops
-//                       never arm) and skips windows with record loss.
+//   kConservationDrift  Decay-pass outflow vs the decay-leak deposits the
+//                       reserves actually received. Every work item's
+//                       kShardBatch carries its decay outflow (v1); its
+//                       kReserveOpUnitLeak record sums what its shards'
+//                       sinks received, counted at each deposit, and the
+//                       merge's kReserveOpDecayLeak records carry what the
+//                       battery root received. On a complete stream the
+//                       window sums are equal to the nanojoule. The check
+//                       arms on the first window that carries any leak
+//                       deposit (masks without reserve ops never arm) and
+//                       skips windows with record loss.
 //   kRecordLoss         Ring-overwrite drops happened during the window
 //                       (the frame marks' cumulative counter advanced) —
 //                       every downstream aggregate now undercounts.
@@ -22,9 +25,11 @@
 //                       floor so idle fleets don't alarm on noise.
 //   kReserveStarvation  A reserve drained to <= starvation_level_nj in a
 //                       window where it was still being drawn from.
-//   kShardStall         A shard with planned taps ran its batches but moved
-//                       zero energy, while its flow EWMA says it recently
-//                       flowed — a stuck pool, not an idle one.
+//   kShardStall         A flow row (one work item: a unit's shards, a split
+//                       shard, a cut member) with planned taps ran its
+//                       batches but moved zero energy, while its flow EWMA
+//                       says it recently flowed — a stuck pool, not an idle
+//                       one. The subject is the row's first shard.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +55,7 @@ struct Alarm {
   AlarmKind kind = AlarmKind::kRecordLoss;
   uint64_t window = 0;   // WindowStats::index that raised it.
   int64_t time_us = 0;   // Window end time (domain clock).
-  uint32_t subject = 0;  // Shard / worker / reserve id; 0 when global.
+  uint32_t subject = 0;  // First shard / worker / reserve id; 0 when global.
   int64_t value = 0;     // The measured quantity (units per kind).
   int64_t bound = 0;     // The threshold it crossed.
 };
@@ -74,8 +79,8 @@ struct HealthConfig {
   int64_t starvation_level_nj = 0;
 
   bool check_stall = true;
-  // A zero-flow window only stalls a shard whose tap-flow EWMA was above
-  // this (units: nJ per window) — never-flowing shards stay silent.
+  // A zero-flow window only stalls a row whose tap-flow EWMA was above
+  // this (units: nJ per window) — never-flowing rows stay silent.
   double stall_min_ewma_nj = 1.0;
 
   // Retained alarm log bound; older alarms are evicted (counters keep the

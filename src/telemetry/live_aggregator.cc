@@ -1,5 +1,7 @@
 #include "src/telemetry/live_aggregator.h"
 
+#include <algorithm>
+
 #include "src/telemetry/health_monitor.h"
 #include "src/telemetry/trace_domain.h"
 
@@ -39,7 +41,10 @@ void LiveAggregator::Reset() {
   records_seen_ = 0;
   corrupt_records_ = 0;
   ring_dropped_ = 0;
-  shards_.clear();
+  rows_.clear();
+  row_index_.clear();
+  plan_.clear();
+  plan_gen_ = 0;
   workers_.clear();
   threads_.clear();
   reserves_.clear();
@@ -66,16 +71,17 @@ void LiveAggregator::OnAttach(const TraceDomain& domain) {
   Reset();
 }
 
-LiveAggregator::ShardLive& LiveAggregator::ShardAt(uint32_t shard) {
-  if (shard >= shards_.size()) {
-    const uint32_t old = static_cast<uint32_t>(shards_.size());
-    shards_.resize(shard + 1);
-    for (uint32_t s = old; s < shards_.size(); ++s) {
-      shards_[s].shard = s;
-    }
+LiveAggregator::ShardLive& LiveAggregator::RowAt(uint32_t first_shard) {
+  if (first_shard >= row_index_.size()) {
+    row_index_.resize(size_t{first_shard} + 1, 0);
   }
-  shards_[shard].seen = true;
-  return shards_[shard];
+  uint32_t& index = row_index_[first_shard];
+  if (index == 0) {
+    rows_.emplace_back();
+    rows_.back().shard = first_shard;
+    index = static_cast<uint32_t>(rows_.size());
+  }
+  return rows_[index - 1];
 }
 
 LiveAggregator::WorkerLive& LiveAggregator::WorkerAt(uint32_t worker) {
@@ -103,7 +109,21 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
         ++corrupt_records_;
         break;
       }
-      ShardLive& s = ShardAt(r.actor);
+      ShardLive& s = RowAt(r.actor);
+      const uint32_t span = BatchShards(r);
+      if (s.shards != span || s.plan_gen != plan_gen_) {
+        // A new span or a new plan: re-sum the row's topology, once.
+        s.shards = span;
+        s.plan_gen = plan_gen_;
+        s.taps = 0;
+        s.decay_reserves = 0;
+        const size_t end = std::min<size_t>(plan_.size(), size_t{r.actor} + span);
+        for (size_t k = r.actor; k < end; ++k) {
+          s.taps += plan_[k].taps;
+          s.decay_reserves += plan_[k].decay_reserves;
+        }
+        s.ranges = r.actor < plan_.size() ? plan_[r.actor].ranges : 1;
+      }
       ++s.batches;
       ++s.window_batches;
       s.tap_flow = WrapAdd(s.tap_flow, r.v0);
@@ -121,10 +141,11 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
         ++corrupt_records_;
         break;
       }
-      ShardLive& s = ShardAt(r.actor);
-      s.taps = static_cast<uint32_t>(r.v0);
-      s.decay_reserves = static_cast<uint32_t>(r.v1);
-      s.ranges = r.aux;
+      if (r.actor >= plan_.size()) {
+        plan_.resize(size_t{r.actor} + 1);
+      }
+      plan_[r.actor] = PlanShard{static_cast<uint32_t>(r.v0), static_cast<uint32_t>(r.v1), r.aux};
+      ++plan_gen_;
       break;
     }
     case RecordKind::kShardTiming: {
@@ -183,6 +204,12 @@ void LiveAggregator::OnRecord(const TraceRecord& r) {
     }
     case RecordKind::kReserveDeposit:
     case RecordKind::kReserveWithdraw: {
+      if (r.flags == kReserveOpUnitLeak &&
+          static_cast<RecordKind>(r.kind) == RecordKind::kReserveDeposit) {
+        // A work item's summed sink deposits: leak flow, but no one reserve.
+        window_leak_deposits_ = WrapAdd(window_leak_deposits_, r.v0);
+        break;
+      }
       ReserveLive& res = reserves_[r.actor];
       res.id = r.actor;
       res.level = r.v1;
@@ -245,10 +272,7 @@ void LiveAggregator::CloseWindow(uint64_t closing_frame_seq, int64_t mark_time_u
   }
 
   const double a = cfg_.ewma_alpha;
-  for (ShardLive& s : shards_) {
-    if (!s.seen) {
-      continue;
-    }
+  for (ShardLive& s : rows_) {
     const double tap = static_cast<double>(s.window_tap_flow);
     const double decay = static_cast<double>(s.window_decay_flow);
     if (!s.ewma_primed) {
@@ -311,12 +335,11 @@ void LiveAggregator::CloseWindow(uint64_t closing_frame_seq, int64_t mark_time_u
 
 std::vector<ShardFlow> LiveAggregator::FlowByShard() const {
   std::vector<ShardFlow> out;
-  for (const ShardLive& s : shards_) {
-    if (!s.seen) {
-      continue;
-    }
+  out.reserve(rows_.size());
+  for (const ShardLive& s : rows_) {
     ShardFlow f;
     f.shard = s.shard;
+    f.shards = s.shards;
     f.taps = s.taps;
     f.decay_reserves = s.decay_reserves;
     f.ranges = s.ranges;
@@ -325,6 +348,8 @@ std::vector<ShardFlow> LiveAggregator::FlowByShard() const {
     f.decay_flow = s.decay_flow;
     out.push_back(f);
   }
+  std::sort(out.begin(), out.end(),
+            [](const ShardFlow& a, const ShardFlow& b) { return a.shard < b.shard; });
   return out;
 }
 

@@ -2,15 +2,23 @@
 //
 // Every flow, load and billing query is defined here and nowhere else:
 // engine flow totals (bit-for-bit equal to TapEngine's counters when no
-// records were dropped), per-shard flow attribution, worker load balance,
+// records were dropped), flow attribution per work item, worker load balance,
 // per-thread CPU billing, scheduler pick and plan counts, and boundary
 // settlement. Attach it to a TraceDomain as a sink to answer them live; a
 // TraceReader feeds it a retained spill or a trace file in stream order to
 // answer them offline; energytop feeds it a file it is tailing. The fold
 // cannot tell the three apart, so offline equals live by construction.
 //
-// On top of the exact running totals it keeps windowed state: per-shard
-// flow EWMAs, per-reserve level EWMAs, per-worker busy/idle histograms, and
+// Flow rows follow the engine's records: one kShardBatch per work item per
+// batch, so a row is keyed by the item's first shard and covers its span of
+// shards (a work unit's contiguous run; a split shard or a cut member alone).
+// A row's topology (taps, decay reserves) is the sum of the kPlanShard
+// records over its span, recomputed only when the span or the plan changes.
+// Exact per-shard flow is the engine's (TapEngine::shard_stats); the trace
+// carries it per work item, which is what keeps a fleet stream complete.
+//
+// On top of the exact running totals it keeps windowed state: per-row flow
+// EWMAs, per-reserve level EWMAs, per-worker busy/idle histograms, and
 // scheduler/syscall rates per window. Memory is O(shards + workers +
 // threads + reserves) and per-record work is O(1): run length never grows
 // the aggregator, which is what makes it safe to leave attached to an
@@ -37,11 +45,13 @@ namespace cinder {
 class HealthMonitor;
 
 // -- Query result rows ---------------------------------------------------------------
+// One flow row per work item: shards [shard, shard + shards).
 struct ShardFlow {
-  uint32_t shard = 0;
-  uint32_t taps = 0;            // From the latest kPlanShard record.
-  uint32_t decay_reserves = 0;  // From the latest kPlanShard record.
-  uint32_t ranges = 1;          // From the latest kPlanShard record.
+  uint32_t shard = 0;           // The row's first shard.
+  uint32_t shards = 1;          // Its span, from the latest kShardBatch record.
+  uint32_t taps = 0;            // Summed kPlanShard values over the span.
+  uint32_t decay_reserves = 0;  // Summed kPlanShard values over the span.
+  uint32_t ranges = 1;          // The first shard's kPlanShard value.
   uint64_t batches = 0;         // kShardBatch records seen.
   int64_t tap_flow = 0;
   int64_t decay_flow = 0;
@@ -83,8 +93,9 @@ struct WindowStats {
   int64_t tap_flow = 0;   // Sum of kShardBatch flows in the window (nJ).
   int64_t decay_flow = 0;
   // Sum of decay-leak deposit records (kReserveDeposit with
-  // kReserveOpDecayLeak). With a complete stream and the default mask this
-  // equals decay_flow exactly — the conservation monitor's invariant.
+  // kReserveOpDecayLeak or kReserveOpUnitLeak). With a complete stream and
+  // the default mask this equals decay_flow exactly — the conservation
+  // monitor's invariant.
   int64_t decay_leak_deposits = 0;
   uint64_t sched_picks = 0;
   uint64_t sched_idle_picks = 0;
@@ -132,7 +143,9 @@ class LiveAggregator : public TraceSink {
   // total_decay_flow() bit-for-bit — the fleet example asserts it.
   int64_t TotalTapFlow() const { return total_tap_flow_; }
   int64_t TotalDecayFlow() const { return total_decay_flow_; }
-  // One row per shard index seen, ascending.
+  // One row per work item seen, ascending by first shard. The rows' flows
+  // sum to the totals above; after a plan rebuild changes the packing, rows
+  // of the old and the new packing both remain, each with its own batches.
   std::vector<ShardFlow> FlowByShard() const;
   // One row per worker slot seen, ascending.
   std::vector<WorkerLoad> WorkerLoads() const;
@@ -177,13 +190,15 @@ class LiveAggregator : public TraceSink {
   // the first window closes.
   const WindowStats& last_window() const { return last_window_; }
 
+  // One flow row (see ShardFlow), keyed by its first shard.
   struct ShardLive {
-    uint32_t shard = 0;
-    bool seen = false;
-    // Topology from the latest kPlanShard record.
+    uint32_t shard = 0;   // The row's first shard.
+    uint32_t shards = 1;  // Span, from the latest kShardBatch record.
+    // Topology summed over the span from the kPlanShard records.
     uint32_t taps = 0;
     uint32_t decay_reserves = 0;
     uint32_t ranges = 1;
+    uint64_t plan_gen = ~uint64_t{0};  // Plan generation the sums are from.
     uint64_t batches = 0;
     int64_t tap_flow = 0;  // Exact running sums.
     int64_t decay_flow = 0;
@@ -196,8 +211,15 @@ class LiveAggregator : public TraceSink {
     double decay_flow_ewma = 0.0;
     bool ewma_primed = false;
   };
-  // Indexed by shard (dense; untouched shards have batches == 0).
-  const std::vector<ShardLive>& shard_live() const { return shards_; }
+  // Every flow row, in the order the stream first showed it — O(work items),
+  // which keeps a window close O(rows) however many shards the fleet has.
+  const std::vector<ShardLive>& shard_live() const { return rows_; }
+  // The row whose first shard is `first_shard`, or null.
+  const ShardLive* row(uint32_t first_shard) const {
+    return first_shard < row_index_.size() && row_index_[first_shard] != 0
+               ? &rows_[row_index_[first_shard] - 1]
+               : nullptr;
+  }
 
   struct WorkerLive {
     uint32_t worker = 0;
@@ -224,13 +246,24 @@ class LiveAggregator : public TraceSink {
     uint64_t window_withdraws = 0;
   };
   // Keyed by reserve id; populated only for reserves that appear in
-  // deposit/withdraw records (syscall traffic or decay-leak sink deposits).
+  // deposit/withdraw records (syscall traffic or the battery root's
+  // decay-leak deposits; the per-item kReserveOpUnitLeak sums name no
+  // reserve and stay out).
   const std::map<uint32_t, ReserveLive>& reserve_live() const { return reserves_; }
 
  private:
   void CloseWindow(uint64_t closing_frame_seq, int64_t mark_time_us);
-  ShardLive& ShardAt(uint32_t shard);
+  ShardLive& RowAt(uint32_t first_shard);
   WorkerLive& WorkerAt(uint32_t worker);
+  // The kPlanShard values per shard; plan_gen_ counts the records, so a row
+  // re-sums its span once after each rebuild.
+  struct PlanShard {
+    uint32_t taps = 0;
+    uint32_t decay_reserves = 0;
+    uint32_t ranges = 1;
+  };
+  std::vector<PlanShard> plan_;
+  uint64_t plan_gen_ = 0;
 
   LiveAggregatorConfig cfg_;
   HealthMonitor* monitor_ = nullptr;
@@ -253,7 +286,8 @@ class LiveAggregator : public TraceSink {
   uint64_t corrupt_records_ = 0;
   uint64_t ring_dropped_ = 0;
 
-  std::vector<ShardLive> shards_;
+  std::vector<ShardLive> rows_;
+  std::vector<uint32_t> row_index_;  // By first shard: index into rows_ + 1, 0 = none.
   std::vector<WorkerLive> workers_;
   std::map<uint32_t, ThreadCharge> threads_;
   std::map<uint32_t, ReserveLive> reserves_;

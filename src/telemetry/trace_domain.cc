@@ -82,6 +82,7 @@ void TraceDomain::Configure(const TelemetryConfig& cfg) {
   spill_dropped_ = 0;
   next_frame_ = 0;
   spill_mask_ = 0;
+  ring_records_ = 0;
   if (!cfg_.enabled) {
     return;
   }
@@ -91,14 +92,20 @@ void TraceDomain::Configure(const TelemetryConfig& cfg) {
   EnsureWriters(1);
 }
 
-void TraceDomain::EnsureWriters(uint32_t n) {
+void TraceDomain::EnsureWriters(uint32_t n, uint32_t ring_records) {
   if (!cfg_.enabled) {
     return;
   }
-  const uint32_t ring_records =
-      static_cast<uint32_t>(RecordsForBytes(cfg_.ring_bytes, 16));
+  const auto floor = static_cast<uint32_t>(RecordsForBytes(cfg_.ring_bytes, 16));
+  const uint32_t want = std::max({ring_records_, floor, ring_records});
+  if (want > ring_records_) {
+    ring_records_ = want;
+    for (const auto& ring : rings_) {
+      ring->Grow(want);
+    }
+  }
   while (rings_.size() < n) {
-    rings_.push_back(std::make_unique<TraceRing>(ring_records));
+    rings_.push_back(std::make_unique<TraceRing>(ring_records_));
   }
 }
 

@@ -107,9 +107,12 @@ class TraceDomain {
   uint32_t record_mask() const { return cfg_.enabled ? cfg_.record_mask : 0; }
   bool on(RecordKind k) const { return (record_mask() & RecordBit(k)) != 0; }
 
-  // Grows the writer-slot table to `n` rings (idempotent; cold path — call
-  // from the main thread with no batch in flight, e.g. at plan rebuild).
-  void EnsureWriters(uint32_t n);
+  // Grows the writer-slot table to `n` rings, and every ring to hold at
+  // least `ring_records` records (idempotent, never shrinks; ring_bytes stays
+  // the floor). Cold path — call from the main thread with no batch in
+  // flight: the tap engine calls it at plan rebuild with the plan's
+  // per-batch record bound, so a complete stream never overwrites.
+  void EnsureWriters(uint32_t n, uint32_t ring_records = 0);
   uint32_t writers() const { return static_cast<uint32_t>(rings_.size()); }
   // The ring a writer on `slot` appends to; null when the domain is disabled
   // or the slot has no ring (then skip the event — never share another
@@ -186,6 +189,7 @@ class TraceDomain {
   TelemetryConfig cfg_;
   std::vector<TraceSink*> sinks_;  // Not owned; attach order.
   std::vector<std::unique_ptr<TraceRing>> rings_;
+  uint32_t ring_records_ = 0;  // Every ring holds at least this many records.
   std::vector<TraceRecord> spill_;  // Power-of-two ring, like TraceRing.
   size_t spill_mask_ = 0;
   size_t spill_head_ = 0;

@@ -91,7 +91,9 @@ std::vector<TraceReader::TimelinePoint> TraceReader::ShardTimeline(uint32_t shar
       pending_from = out.size();
       continue;
     }
-    if (!IsKind(r, RecordKind::kShardBatch) || r.actor != shard || IsCorruptShardRecord(r)) {
+    // The record of the work item whose span covers `shard`.
+    if (!IsKind(r, RecordKind::kShardBatch) || r.actor > shard ||
+        shard - r.actor >= BatchShards(r) || IsCorruptShardRecord(r)) {
       continue;
     }
     cum_tap = WrapAdd(cum_tap, r.v0);

@@ -8,7 +8,7 @@
 // WorkerLoads, CpuChargeByThread, scheduler and boundary counts) is asked of
 // aggregate(), so an offline answer is the live answer by construction. The
 // reader itself answers only what needs the retained records: per-shard
-// timelines and per-tap flows.
+// timelines (per work item) and per-tap flows.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +62,12 @@ class TraceReader {
   // (IsCorruptShardRecord) are not counted.
   const std::vector<uint64_t>& kind_counts() const { return kind_counts_; }
 
-  // Per-batch flow timeline of one shard: the raw material for a per-phone
-  // energy timeline (each fleet phone is one shard). `frame` is the flush
-  // sequence number of the batch; cumulative_* are running sums, so the last
-  // point is the shard's total.
+  // Per-batch flow timeline of the work item that covers `shard`: one point
+  // per kShardBatch record whose span contains it (a fleet phone is one
+  // shard, packed with its neighbours into a work unit, so this is its
+  // unit's energy timeline). `frame` is the flush sequence number of the
+  // batch; cumulative_* are running sums, so the last point is the covering
+  // rows' total.
   struct TimelinePoint {
     uint64_t frame = 0;
     int64_t time_us = 0;

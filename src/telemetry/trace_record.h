@@ -4,11 +4,14 @@
 // Every event the engine can report is one 32-byte POD appended to a
 // per-worker TraceRing: no strings, no varints, no allocation, so the hot
 // paths (tap passes, decay, scheduler picks) pay a couple of stores per
-// event. Everything a consumer needs to reconstruct per-phone energy
-// timelines, tap flow attribution, and shard load balance is expressible in
-// (kind, actor, aux, flags, v0, v1) — the interpretation per kind is the
-// table below, and the on-disk format is the raw records behind a small
-// header (TraceReader reads both live domains and files).
+// event. The engine writes its batch flow once per work item, not once per
+// shard, so a fleet batch costs a few hundred records however many phones it
+// runs; exact per-shard flow stays in the engine (TapEngine::shard_stats).
+// Energy timelines per work item, tap flow attribution, and shard load
+// balance are all expressible in (kind, actor, aux, flags, v0, v1) — the
+// interpretation per kind is the table below, and the on-disk format is the
+// raw records behind a small header (TraceReader reads both live domains
+// and files).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +21,7 @@ namespace cinder {
 // One bit per kind in TelemetryConfig::record_mask (RecordBit). Kinds past
 // the default mask (per-tap transfers, per-reserve decay, plan tap/reserve
 // tables) are fine-grained: they scale with taps-per-batch rather than
-// shards-per-batch, so they are opt-in to keep the default overhead < 2% on
+// work-items-per-batch, so they are opt-in to keep the default overhead < 2% on
 // BM_TapBatch/32768.
 enum class RecordKind : uint8_t {
   // Frame boundary, written by TraceDomain::FlushFrame after the rings
@@ -29,8 +32,12 @@ enum class RecordKind : uint8_t {
   // previous mark belong to the frame this mark closes (one tap batch, in
   // the engine's wiring).
   kFrameMark = 0,
-  // Per shard per batch: actor = shard index, v0 = tap flow (nJ),
-  // v1 = decay flow (nJ). The sum over all records equals the engine's
+  // Per work item per batch: actor = first shard index, aux = shards the
+  // record covers (its span), v0 = their summed tap flow (nJ), v1 = their
+  // summed decay flow (nJ). A work unit's record covers its contiguous
+  // shards; a split shard and each cut member get one record of span 1.
+  // Files written before per-item records carry aux 0, which means 1 (see
+  // BatchShards). The sum over all records equals the engine's
   // total_tap_flow()/total_decay_flow() bit-for-bit.
   kShardBatch = 1,
   // Per work item per batch: actor = first shard index, v0 = wall
@@ -48,9 +55,13 @@ enum class RecordKind : uint8_t {
   // v0 = moved (nJ), aux = shard index (low 16 bits).
   kTapTransfer = 4,
   // Reserve deposit/withdraw through the syscall layer, plus the engine's
-  // batch-boundary decay-leak deposits: actor = low 32 bits of the reserve
-  // id, v0 = amount (nJ), v1 = level after. flags: kReserveOpConsume for
-  // ReserveConsume, kReserveOpDecayLeak for the engine's sink deposits.
+  // decay-leak deposits: actor = low 32 bits of the reserve id, v0 = amount
+  // (nJ), v1 = level after. flags: kReserveOpConsume for ReserveConsume,
+  // kReserveOpDecayLeak for the merge's battery-root deposits (one per work
+  // item that leaked into the battery). kReserveOpUnitLeak is one record per
+  // work item for the leakage its shards deposited into their own sinks
+  // (DecayConfig::to_shard_root): actor = the item's first shard, v0 = the
+  // summed nJ deposited, v1 = the number of sink deposits.
   kReserveDeposit = 5,
   kReserveWithdraw = 6,
   // Fine-grained, off by default. One per reserve the decay pass drained:
@@ -100,6 +111,7 @@ enum class RecordKind : uint8_t {
 inline constexpr uint8_t kReserveOpTransfer = 0;
 inline constexpr uint8_t kReserveOpConsume = 1;
 inline constexpr uint8_t kReserveOpDecayLeak = 2;
+inline constexpr uint8_t kReserveOpUnitLeak = 3;
 
 // flags value for kSchedPick: the quantum was replayed from a run plan.
 inline constexpr uint8_t kSchedPickPlanned = 1;
@@ -119,8 +131,9 @@ constexpr uint32_t RecordBit(RecordKind k) { return uint32_t{1} << static_cast<u
 
 constexpr uint32_t kAllRecordsMask = (uint32_t{1} << static_cast<uint8_t>(RecordKind::kKindCount)) - 1;
 
-// Everything whose volume is O(shards + quanta) per batch. The per-tap /
-// per-reserve kinds multiply record volume by the plan size and are opt-in.
+// Everything whose volume is O(work items + quanta) per batch (the plan
+// tables are O(shards), once per rebuild). The per-tap / per-reserve kinds
+// multiply record volume by the plan size and are opt-in.
 constexpr uint32_t kDefaultRecordMask =
     kAllRecordsMask & ~(RecordBit(RecordKind::kTapTransfer) | RecordBit(RecordKind::kReserveDecay) |
                         RecordBit(RecordKind::kPlanTap) | RecordBit(RecordKind::kPlanReserve));
@@ -140,16 +153,21 @@ struct TraceRecord {
 };
 static_assert(sizeof(TraceRecord) == 32, "records are fixed 32-byte binary");
 
+// The shards one kShardBatch record covers: aux, where 0 (a trace written
+// before per-item records, when every record covered one shard) counts as 1.
+inline uint32_t BatchShards(const TraceRecord& r) { return r.aux > 0 ? r.aux : 1u; }
+
 // Readers keep per-shard state in tables indexed by a record's shard (the
-// actor of kShardBatch / kPlanShard). A shard index at or past this bound —
-// ten times the largest fleet the examples advertise — marks the record as
-// corrupt: readers count and skip it, so a flipped bit in a trace file can
-// never size an allocation.
+// actor of kShardBatch / kPlanShard). A record that names a shard at or past
+// this bound — ten times the largest fleet the examples advertise — directly
+// or through a kShardBatch span, is corrupt: readers count and skip it, so a
+// flipped bit in a trace file can never size an allocation.
 inline constexpr uint32_t kMaxTraceShards = 1u << 20;
 inline bool IsCorruptShardRecord(const TraceRecord& r) {
-  return (r.kind == static_cast<uint8_t>(RecordKind::kShardBatch) ||
-          r.kind == static_cast<uint8_t>(RecordKind::kPlanShard)) &&
-         r.actor >= kMaxTraceShards;
+  if (r.kind == static_cast<uint8_t>(RecordKind::kShardBatch)) {
+    return uint64_t{r.actor} + BatchShards(r) > kMaxTraceShards;
+  }
+  return r.kind == static_cast<uint8_t>(RecordKind::kPlanShard) && r.actor >= kMaxTraceShards;
 }
 
 // Adds a record value to a running signed sum, wrapping (two's complement)

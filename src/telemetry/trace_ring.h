@@ -37,6 +37,26 @@ class TraceRing {
   }
 
   uint32_t capacity() const { return static_cast<uint32_t>(buf_.size()); }
+
+  // Grows the capacity to at least `capacity_records` (a power of two),
+  // keeping the pending records in FIFO order; never shrinks. Cold path:
+  // only between batches, from the thread that drains the ring.
+  void Grow(uint32_t capacity_records) {
+    uint32_t cap = capacity();
+    while (cap < capacity_records) {
+      cap <<= 1;
+    }
+    if (cap == capacity()) {
+      return;
+    }
+    std::vector<TraceRecord> bigger(cap);
+    for (uint32_t i = 0; i < size_; ++i) {
+      bigger[i] = buf_[(head_ + i) & mask_];
+    }
+    buf_.swap(bigger);
+    mask_ = cap - 1;
+    head_ = 0;
+  }
   uint32_t size() const { return size_; }
   // Records overwritten before a flush could drain them.
   uint64_t dropped() const { return dropped_; }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -137,6 +138,87 @@ void ExpectIdenticalState(Rig& want, Rig& got, const std::string& label) {
   EXPECT_EQ(want.engine->total_decay_flow(), got.engine->total_decay_flow());
 }
 
+// The per-work-item kShardBatch contract, fed a whole stream record by
+// record (for a plan built once, before the first batch). Per batch, the
+// records' spans [actor, actor + BatchShards) cover every shard exactly
+// once, and a span of more than one shard is exactly one work unit's. Over
+// the run, the records sum to the engine's tap and decay totals, and the
+// flow each span carried is the engine's per-shard stats summed over it.
+class BatchRecordCheck {
+ public:
+  explicit BatchRecordCheck(const TapEngine& engine)
+      : engine_(engine), hits_(engine.shard_count(), 0), unit_end_(engine.shard_count(), 0) {
+    for (const ShardTicket& t : engine.pass1_tickets()) {
+      if (t.kind == ShardTicketKind::kWholeShard) {
+        unit_end_[t.shard] = t.shard_end;
+      }
+    }
+  }
+
+  void OnRecord(const TraceRecord& r) {
+    if (r.kind == static_cast<uint8_t>(RecordKind::kFrameMark)) {
+      ++frames_;
+      bad_frames_ +=
+          static_cast<size_t>(std::count(hits_.begin(), hits_.end(), 1u)) == hits_.size() ? 0 : 1;
+      hits_.assign(hits_.size(), 0);
+      return;
+    }
+    if (r.kind != static_cast<uint8_t>(RecordKind::kShardBatch)) {
+      return;
+    }
+    const uint32_t span = BatchShards(r);
+    ASSERT_LE(uint64_t{r.actor} + span, hits_.size());
+    if (span > 1) {
+      EXPECT_EQ(unit_end_[r.actor], r.actor + span) << "a multi-shard span that is no unit";
+    }
+    for (uint32_t s = r.actor; s < r.actor + span; ++s) {
+      ++hits_[s];
+    }
+    tap_sum_ += r.v0;
+    decay_sum_ += r.v1;
+    SpanFlow& f = spans_[r.actor];
+    EXPECT_TRUE(f.shards == 0 || f.shards == span) << "span of shard " << r.actor << " changed";
+    f.shards = span;
+    f.tap += r.v0;
+    f.decay += r.v1;
+  }
+
+  void Expect(uint64_t batches, const std::string& label) const {
+    EXPECT_EQ(frames_, batches) << label;
+    EXPECT_EQ(bad_frames_, 0u) << label << ": a frame whose spans miss or repeat a shard";
+    EXPECT_EQ(tap_sum_, engine_.total_tap_flow()) << label;
+    EXPECT_EQ(decay_sum_, engine_.total_decay_flow()) << label;
+    const auto& stats = engine_.shard_stats();
+    for (const auto& [first, f] : spans_) {
+      Quantity tap = 0;
+      Quantity decay = 0;
+      for (uint32_t s = first; s < first + f.shards; ++s) {
+        tap += stats[s].tap_flow;
+        decay += stats[s].decay_flow;
+      }
+      EXPECT_EQ(f.tap, tap) << label << ": span at shard " << first;
+      EXPECT_EQ(f.decay, decay) << label << ": span at shard " << first;
+    }
+  }
+
+  int64_t decay_sum() const { return decay_sum_; }
+
+ private:
+  struct SpanFlow {
+    uint32_t shards = 0;
+    int64_t tap = 0;
+    int64_t decay = 0;
+  };
+  const TapEngine& engine_;
+  std::vector<uint32_t> hits_;      // Per shard, this frame.
+  std::vector<uint32_t> unit_end_;  // By a unit's first shard; 0 = none.
+  std::map<uint32_t, SpanFlow> spans_;
+  uint64_t frames_ = 0;
+  uint64_t bad_frames_ = 0;
+  int64_t tap_sum_ = 0;
+  int64_t decay_sum_ = 0;
+};
+
 // The headline claim: a 120-deep charged chain cut at threshold 16 runs its
 // sub-shards in parallel, every plan section stays within the bound, every
 // settlement takes the lane path (no parent ever fuses), and every worker
@@ -239,8 +321,10 @@ TEST(ShardCutTest, HubAndChainSplitsTheStarAndCutsTheChain) {
 // every ticket kind runs in one engine — whole-shard tickets, a range-split
 // fan-out, a lane-settled cut chain, and a cut parent that takes the fused
 // fallback — and each shard's batch must still end through the one shared
-// finish: exactly one kShardBatch per shard per batch, whose sums are the
-// engine's tap and decay totals, with decay routed to shard roots.
+// finish: per batch, the kShardBatch spans (one per work unit, split shard
+// and cut member) cover every shard exactly once, and their sums are the
+// engine's tap and decay totals — per span as well as overall — with decay
+// routed to shard roots.
 TEST(ShardCutTest, EveryTicketKindFinishesEachShardOnce) {
   constexpr int kBatches = 300;
   auto build = [](Rig& r) {
@@ -291,39 +375,19 @@ TEST(ShardCutTest, EveryTicketKindFinishesEachShardOnce) {
     EXPECT_EQ(small, 3u) << label;
     EXPECT_EQ(rig.engine->cut_parent_count(), 2u) << label;
 
-    std::vector<uint32_t> seen(shards, 0);
-    uint64_t frames = 0;
-    uint64_t bad_frames = 0;
+    ASSERT_GT(shards, 0u) << label;
+    BatchRecordCheck batches(*rig.engine);
     uint64_t settles = 0;
     uint64_t fused_settles = 0;
-    int64_t tap_sum = 0;
-    int64_t decay_sum = 0;
     domain.ForEachSpilled([&](const TraceRecord& r) {
-      switch (static_cast<RecordKind>(r.kind)) {
-        case RecordKind::kFrameMark:
-          ++frames;
-          bad_frames += std::count(seen.begin(), seen.end(), 1u) == shards ? 0 : 1;
-          seen.assign(shards, 0);
-          break;
-        case RecordKind::kShardBatch:
-          ASSERT_LT(r.actor, shards);
-          ++seen[r.actor];
-          tap_sum += r.v0;
-          decay_sum += r.v1;
-          break;
-        case RecordKind::kBoundarySettle:
-          ++settles;
-          fused_settles += (r.flags & kBoundarySettleFused) != 0 ? 1 : 0;
-          break;
-        default:
-          break;
+      batches.OnRecord(r);
+      if (r.kind == static_cast<uint8_t>(RecordKind::kBoundarySettle)) {
+        ++settles;
+        fused_settles += (r.flags & kBoundarySettleFused) != 0 ? 1 : 0;
       }
     });
-    EXPECT_EQ(frames, static_cast<uint64_t>(kBatches)) << label;
-    EXPECT_EQ(bad_frames, 0u) << label << ": a frame without exactly one record per shard";
-    EXPECT_EQ(tap_sum, rig.engine->total_tap_flow()) << label;
-    EXPECT_EQ(decay_sum, rig.engine->total_decay_flow()) << label;
-    EXPECT_GT(decay_sum, 0) << label;
+    batches.Expect(kBatches, label);
+    EXPECT_GT(batches.decay_sum(), 0) << label;
     // One settlement per cut parent per batch: the constrained chain fused
     // every time, the charged chain through its lanes every time.
     EXPECT_EQ(settles, 2u * kBatches) << label;
@@ -337,8 +401,9 @@ TEST(ShardCutTest, EveryTicketKindFinishesEachShardOnce) {
 // fused constrained chain, decay routed to shard roots (every shard settles
 // its sink inside its own ticket; a cut member's is its parent's shared
 // sink). The tables: one kCutParent pass-1 ticket per cut parent, and a
-// pass-2 table that holds only the split shard's ranges. Per batch: exactly
-// one kShardBatch per shard; one kDispatch per pooled ticket — a work unit,
+// pass-2 table that holds only the split shard's ranges. Per batch: one
+// kShardBatch per work unit, split shard and cut member, whose spans cover
+// every shard exactly once; one kDispatch per pooled ticket — a work unit,
 // a range pass, or a cut parent — and none without a pool; one kShardTiming
 // record per unit and per cut parent, whose shard count (v1) is the unit's
 // or the parent's member count, so the records cover every non-split shard
@@ -443,9 +508,8 @@ TEST(ShardUnitTest, UnitsRangesAndCutsEachRunEveryShardOnce) {
     const uint64_t pooled_tickets =  // Per batch, both passes.
         units + 2 * pass1_ranges + engine.cut_parent_count();
 
-    std::vector<uint32_t> seen(shards, 0);
+    BatchRecordCheck batches(engine);
     uint64_t frames = 0;
-    uint64_t bad_batch_frames = 0;
     uint64_t bad_dispatch_frames = 0;
     uint64_t bad_timing_frames = 0;
     uint64_t dispatches = 0;
@@ -454,26 +518,21 @@ TEST(ShardUnitTest, UnitsRangesAndCutsEachRunEveryShardOnce) {
     uint64_t cut_timings = 0;
     uint64_t timed_members = 0;
     domain.ForEachSpilled([&](const TraceRecord& r) {
+      batches.OnRecord(r);
       switch (static_cast<RecordKind>(r.kind)) {
         case RecordKind::kFrameMark:
           ++frames;
-          bad_batch_frames += std::count(seen.begin(), seen.end(), 1u) == shards ? 0 : 1;
           bad_dispatch_frames += dispatches == (workers >= 2 ? pooled_tickets : 0) ? 0 : 1;
           bad_timing_frames += unit_timings == units && timed_shards == unit_shards &&
                                        cut_timings == engine.cut_parent_count() &&
                                        timed_members == cut_members
                                    ? 0
                                    : 1;
-          seen.assign(shards, 0);
           dispatches = 0;
           unit_timings = 0;
           timed_shards = 0;
           cut_timings = 0;
           timed_members = 0;
-          break;
-        case RecordKind::kShardBatch:
-          ASSERT_LT(r.actor, shards);
-          ++seen[r.actor];
           break;
         case RecordKind::kDispatch:
           ++dispatches;
@@ -498,7 +557,7 @@ TEST(ShardUnitTest, UnitsRangesAndCutsEachRunEveryShardOnce) {
     });
     EXPECT_EQ(domain.dropped_records(), 0u) << label;
     EXPECT_EQ(frames, static_cast<uint64_t>(kBatches)) << label;
-    EXPECT_EQ(bad_batch_frames, 0u) << label << ": a frame without one kShardBatch per shard";
+    batches.Expect(kBatches, label);
     EXPECT_EQ(bad_dispatch_frames, 0u) << label << ": a frame without one kDispatch per ticket";
     EXPECT_EQ(bad_timing_frames, 0u) << label << ": a frame whose timing misses a shard";
     EXPECT_GT(engine.total_decay_flow(), 0) << label;

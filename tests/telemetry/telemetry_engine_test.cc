@@ -13,6 +13,7 @@
 #include "src/core/tap_engine.h"
 #include "src/sim/simulator.h"
 #include "src/sim/thread_body.h"
+#include "src/telemetry/live_aggregator.h"
 #include "src/telemetry/trace_reader.h"
 
 namespace cinder {
@@ -84,28 +85,43 @@ TEST(TelemetryEngineTest, ReaderTotalsMatchEngineBitForBitAcrossWorkerCounts) {
 }
 
 TEST(TelemetryEngineTest, FlowByShardJoinsPlanAndBatchRecords) {
+  // Enough phones (weight 6 each) to pack into several work units: one flow
+  // row per unit, keyed by its first shard.
   Simulator sim(FleetConfig(2));
-  BuildPhones(sim, 8);
+  BuildPhones(sim, 400);
   sim.Run(Duration::Seconds(1));
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
+  ASSERT_EQ(reader.dropped(), 0u);
 
-  const auto shards = reader.aggregate().FlowByShard();
-  ASSERT_EQ(shards.size(), 8u);
+  const auto rows = reader.aggregate().FlowByShard();
+  ASSERT_GT(rows.size(), 1u);
+  ASSERT_LT(rows.size(), 400u);
   int64_t tap_sum = 0;
   int64_t decay_sum = 0;
+  uint32_t next_shard = 0;
   const auto& stats = sim.taps().shard_stats();
-  for (const auto& s : shards) {
-    EXPECT_EQ(s.taps, 3u);            // From kPlanShard.
-    EXPECT_EQ(s.decay_reserves, 3u);  // Pool/fg/bg all decay-wired.
-    EXPECT_GT(s.batches, 0u);
-    // Per-shard flows agree with the engine's own per-shard stats.
-    ASSERT_LT(s.shard, stats.size());
-    EXPECT_EQ(s.tap_flow, stats[s.shard].tap_flow);
-    EXPECT_EQ(s.decay_flow, stats[s.shard].decay_flow);
-    tap_sum += s.tap_flow;
-    decay_sum += s.decay_flow;
+  for (const auto& r : rows) {
+    // The rows tile the shards: each starts where the previous one ended.
+    EXPECT_EQ(r.shard, next_shard);
+    next_shard = r.shard + r.shards;
+    ASSERT_LE(next_shard, stats.size());
+    EXPECT_EQ(r.taps, 3u * r.shards);            // Summed kPlanShard values.
+    EXPECT_EQ(r.decay_reserves, 3u * r.shards);  // Pool/fg/bg all decay-wired.
+    EXPECT_GT(r.batches, 0u);
+    // A row's flows are the engine's own per-shard stats summed over it.
+    int64_t tap = 0;
+    int64_t decay = 0;
+    for (uint32_t s = r.shard; s < r.shard + r.shards; ++s) {
+      tap += stats[s].tap_flow;
+      decay += stats[s].decay_flow;
+    }
+    EXPECT_EQ(r.tap_flow, tap);
+    EXPECT_EQ(r.decay_flow, decay);
+    tap_sum += r.tap_flow;
+    decay_sum += r.decay_flow;
   }
+  EXPECT_EQ(next_shard, sim.taps().shard_count());
   EXPECT_EQ(tap_sum, reader.aggregate().TotalTapFlow());
   EXPECT_EQ(decay_sum, reader.aggregate().TotalDecayFlow());
 }
@@ -157,11 +173,19 @@ TEST(TelemetryEngineTest, ShardTimelineCumulatesToShardTotal) {
   sim.telemetry().FlushFrame();
   TraceReader reader = TraceReader::FromDomain(sim.telemetry());
 
-  const auto shards = reader.aggregate().FlowByShard();
-  ASSERT_EQ(shards.size(), 4u);
-  for (const auto& s : shards) {
+  const auto rows = reader.aggregate().FlowByShard();
+  uint32_t covered = 0;
+  for (const auto& r : rows) {
+    covered += r.shards;
+  }
+  ASSERT_EQ(covered, 4u);
+  for (const auto& s : rows) {
     const auto timeline = reader.ShardTimeline(s.shard);
     ASSERT_EQ(timeline.size(), s.batches);
+    // Every shard of a row reads the row's timeline.
+    const auto last = reader.ShardTimeline(s.shard + s.shards - 1);
+    ASSERT_EQ(last.size(), timeline.size());
+    EXPECT_EQ(last.back().cumulative_tap_flow, timeline.back().cumulative_tap_flow);
     int64_t running_tap = 0;
     int64_t running_decay = 0;
     uint64_t prev_frame = 0;
@@ -196,9 +220,9 @@ TEST(TelemetryEngineTest, DispatchRecordsCoverEveryPooledTicket) {
   ASSERT_GE(tickets.size(), 2u);
   const uint32_t shards = sim.taps().shard_count();
   ASSERT_EQ(shards, 600u);
-  uint64_t batches = 0;
+  uint64_t batches = 0;  // Shard-batches: each row's records times its span.
   for (const auto& s : reader.aggregate().FlowByShard()) {
-    batches += s.batches;
+    batches += s.batches * s.shards;
   }
   ASSERT_GT(batches, 0u);
   ASSERT_EQ(batches % shards, 0u);
@@ -212,6 +236,31 @@ TEST(TelemetryEngineTest, DispatchRecordsCoverEveryPooledTicket) {
   // counts every shard it ran: one timed shard run per shard-batch.
   EXPECT_EQ(dispatches, tickets.size() * (batches / shards));
   EXPECT_EQ(shard_runs, batches);
+}
+
+TEST(TelemetryEngineTest, PlanSizedRingsStreamCompletelyFromATinyFloor) {
+  // A 0-worker fleet writes every record of a batch into ring 0. With a
+  // 1 KiB floor (32 records) that ring could not hold one batch's records;
+  // the plan rebuild grows it to the plan's per-batch bound, so the stream
+  // stays complete and the live fold equals the engine.
+  SimConfig cfg = FleetConfig(0);
+  cfg.telemetry.spill_grow = false;
+  cfg.telemetry.ring_bytes = 1024;
+  LiveAggregator agg;
+  Simulator sim(cfg);
+  sim.telemetry().AddSink(&agg);
+  BuildPhones(sim, 2000);
+  sim.Run(Duration::Seconds(1));
+  sim.telemetry().FlushFrame();
+
+  ASSERT_GT(sim.taps().pass1_tickets().size(), 8u);
+  EXPECT_GT(sim.telemetry().ring(0)->capacity(), 32u);
+  EXPECT_EQ(sim.telemetry().ring_dropped(), 0u);
+  EXPECT_EQ(agg.ring_dropped(), 0u);
+  EXPECT_EQ(agg.frames(), sim.telemetry().frames_flushed());
+  EXPECT_EQ(agg.TotalTapFlow(), sim.taps().total_tap_flow());
+  EXPECT_EQ(agg.TotalDecayFlow(), sim.taps().total_decay_flow());
+  EXPECT_GT(agg.TotalDecayFlow(), 0);
 }
 
 TEST(TelemetryEngineTest, FineGrainedTapFlowsSumToEngineTotal) {

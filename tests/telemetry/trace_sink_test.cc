@@ -500,6 +500,9 @@ TEST(TraceSinkTest, CorruptShardIndexIsCountedAndSkippedNeverAllocated) {
   // made both readers resize a per-shard table to actor + 1 and abort with
   // std::bad_alloc. Each mutant must load, count exactly that record as
   // corrupt, and answer every shard query as if the record were absent.
+  // Then the same sweep over the aux bytes (the shard span) of the first
+  // kShardBatch record: a span can never size a table, and one that would
+  // reach past kMaxTraceShards marks its record corrupt.
   const std::string path = TempPath("corrupt_shard.bin");
   {
     SimConfig cfg;
@@ -530,7 +533,11 @@ TEST(TraceSinkTest, CorruptShardIndexIsCountedAndSkippedNeverAllocated) {
   ASSERT_EQ(reference.aggregate().corrupt_records(), 0u);
   ASSERT_TRUE(reference.complete());
   const size_t shards = reference.aggregate().FlowByShard().size();
-  ASSERT_EQ(shards, 20u);
+  uint32_t covered = 0;  // The rows are work items; their spans tile the 20 shards.
+  for (const ShardFlow& row : reference.aggregate().FlowByShard()) {
+    covered += row.shards;
+  }
+  ASSERT_EQ(covered, 20u);
 
   for (int bit = 20; bit < 32; ++bit) {
     const std::string label = "actor bit " + std::to_string(bit);
@@ -555,9 +562,63 @@ TEST(TraceSinkTest, CorruptShardIndexIsCountedAndSkippedNeverAllocated) {
     }
     EXPECT_EQ(agg.corrupt_records(), 1u) << label;
     EXPECT_EQ(agg.records_seen(), reader.records().size()) << label;
-    EXPECT_LE(agg.shard_live().size(), shards) << label;
+    EXPECT_LE(agg.shard_live().size(), covered) << label;
     EXPECT_EQ(agg.FlowByShard().size(), shards) << label;
     EXPECT_EQ(agg.TotalTapFlow(), reference.aggregate().TotalTapFlow()) << label;
+  }
+
+  // The aux bytes of the first kShardBatch record: every single-bit flip
+  // gives a span of up to 65,535 shards from a small first shard — not
+  // corrupt, so its flow still counts, but the fold sizes nothing by it and
+  // the reader's timeline covers exactly the flipped span.
+  size_t batch_at = 0;
+  while (batch_at < reference.records().size() &&
+         reference.records()[batch_at].kind != static_cast<uint8_t>(RecordKind::kShardBatch)) {
+    ++batch_at;
+  }
+  ASSERT_LT(batch_at, reference.records().size());
+  const TraceRecord batch = reference.records()[batch_at];
+  const size_t rec_at = sizeof(TraceFileHeader) + batch_at * sizeof(TraceRecord);
+  const size_t aux_at = rec_at + offsetof(TraceRecord, aux);
+  const size_t batch_actor_at = rec_at + offsetof(TraceRecord, actor);
+  auto load_mutant = [&](const std::vector<unsigned char>& bytes, TraceReader* reader) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    ASSERT_TRUE(TraceReader::LoadFile(path, reader));
+  };
+  for (int bit = 0; bit < 16; ++bit) {
+    const std::string label = "aux bit " + std::to_string(bit);
+    std::vector<unsigned char> bytes = clean;
+    bytes[aux_at + bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    TraceReader reader;
+    load_mutant(bytes, &reader);
+    const TraceRecord& mutated = reader.records()[batch_at];
+    ASSERT_EQ(mutated.aux, batch.aux ^ (1u << bit)) << label;
+    EXPECT_EQ(reader.aggregate().corrupt_records(), 0u) << label;
+    EXPECT_EQ(reader.aggregate().TotalTapFlow(), reference.aggregate().TotalTapFlow()) << label;
+    EXPECT_LE(reader.aggregate().shard_live().size(), covered) << label;
+    const uint32_t last = batch.actor + BatchShards(mutated) - 1;
+    EXPECT_FALSE(reader.ShardTimeline(last).empty()) << label;
+    EXPECT_NO_THROW((void)reader.ShardTimeline(last + 1)) << label;
+  }
+  // A first shard near the bound plus a wide span reaches past it: corrupt,
+  // counted and skipped, and no table grows toward the bound.
+  for (const uint32_t span : {2u, 0xffffu}) {
+    const std::string label = "span " + std::to_string(span) + " at the bound";
+    std::vector<unsigned char> bytes = clean;
+    const uint32_t actor = kMaxTraceShards - 1;
+    std::memcpy(&bytes[batch_actor_at], &actor, sizeof(actor));
+    const auto aux = static_cast<uint16_t>(span);
+    std::memcpy(&bytes[aux_at], &aux, sizeof(aux));
+    TraceReader reader;
+    load_mutant(bytes, &reader);
+    EXPECT_EQ(reader.aggregate().corrupt_records(), 1u) << label;
+    EXPECT_FALSE(reader.complete()) << label;
+    EXPECT_LE(reader.aggregate().shard_live().size(), covered) << label;
+    EXPECT_EQ(reader.aggregate().row(actor), nullptr) << label;
+    EXPECT_TRUE(reader.ShardTimeline(actor).empty()) << label;
   }
   std::remove(path.c_str());
 }

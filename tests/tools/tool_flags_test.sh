@@ -6,7 +6,8 @@
 # interval or a window size, must exit 2 with the usage line. Each run sits
 # under `timeout`, so a tool that accepts --poll-ms 0 and spins fails the
 # test instead of hanging it. A 1 ms poll must still end the follow at the
-# tools' 10 s idle timeout.
+# tools' 10 s idle timeout. Both tools flag that prefix, and a finalized
+# file with a chopped record's bytes behind it, as a TRUNCATED stream.
 #
 # Usage: tool_flags_test.sh EXAMPLE_FLEET ENERGYTRACE ENERGYTOP WORKDIR
 set -u
@@ -50,6 +51,28 @@ expect 2 "$energytrace" "$trc" --timeline 1x
 # Well-formed values still parse.
 expect 0 "$energytop" "$trc" --once --window-frames 4 --alarms 0
 expect 0 "$energytrace" "$trc" --timeline 0
+
+# energytop --once prints the TRUNCATED hint energytrace prints, on the
+# unfinalized prefix and on a finalized file with the stray bytes of a
+# chopped record behind it; the clean finalized stream has no hint.
+cp "$dir/full.trc" "$dir/tail.trc"
+printf 'xx' >> "$dir/tail.trc"
+# expect_truncated TOOL FILE ARGS...: exits 0 within 5 s and prints the hint.
+expect_truncated() {
+  if ! timeout 5 "$@" > "$dir/out" 2>&1 || ! grep -q "TRUNCATED stream" "$dir/out"; then
+    echo "FAIL (no TRUNCATED hint): $*" >&2
+    failed=1
+  fi
+}
+for f in "$trc" "$dir/tail.trc"; do
+  expect_truncated "$energytop" "$f" --once
+  expect_truncated "$energytrace" "$f"
+done
+if ! timeout 5 "$energytop" "$dir/full.trc" --once > "$dir/out" 2>&1 ||
+    grep -q "TRUNCATED" "$dir/out"; then
+  echo "FAIL (clean stream reported truncated): energytop --once $dir/full.trc" >&2
+  failed=1
+fi
 
 # A 1 ms poll on a stream that never finalizes ends at the idle timeout.
 timeout 30 "$energytop" "$trc" --poll-ms 1 > /dev/null 2>&1 &

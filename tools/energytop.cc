@@ -6,8 +6,10 @@
 // record fold of its own. It prints one line per closed aggregation window
 // — flows, scheduler and syscall rates, drops — plus an ALARM line whenever
 // a health check fires. When the stream finalizes (or --once drains what is
-// on disk) it prints the settled per-shard / per-worker / alarm summary from
-// the aggregator's exact running totals.
+// on disk) it prints the settled per-work-item / per-worker / alarm summary
+// from the aggregator's exact running totals. A stream that never finalized
+// (the writer died, or the file was chopped) is summarized with the same
+// TRUNCATED hint energytrace prints: its totals cover the prefix only.
 //
 // Usage:
 //   energytop <trace-file>                    follow until finalized
@@ -107,22 +109,23 @@ int main(int argc, char** argv) {
   cinder::tools::FollowOptions opts;
   opts.poll_ms = poll_ms;
   opts.once = once;
+  bool partial_tail = false;
   const auto result = cinder::tools::FollowTraceFile(
-      path, opts, [&agg](const cinder::TraceRecord& r) { agg.OnRecord(r); }, &error);
+      path, opts, [&agg](const cinder::TraceRecord& r) { agg.OnRecord(r); }, &error,
+      &partial_tail);
   if (result == cinder::tools::FollowResult::kError) {
     std::fprintf(stderr, "energytop: %s\n", error.c_str());
     return 1;
-  }
-  if (result == cinder::tools::FollowResult::kIdleTimeout && !once) {
-    std::fprintf(stderr, "energytop: %s stopped growing without finalizing (truncated "
-                         "stream); summarizing the prefix\n",
-                 path.c_str());
   }
 
   std::printf("\n%s: %" PRIu64 " records, %" PRIu64 " frames, %" PRIu64
               " windows closed, ring drops %" PRIu64 "\n",
               path.c_str(), agg.records_seen(), agg.frames(), agg.windows_closed(),
               agg.ring_dropped());
+  if (result == cinder::tools::FollowResult::kIdleTimeout || partial_tail) {
+    std::printf("TRUNCATED stream: the writer never finalized this file (or it was chopped); "
+                "totals cover the parsed prefix only\n");
+  }
   if (agg.corrupt_records() > 0) {
     std::printf("CORRUPT records skipped: %" PRIu64 " (shard index >= %u)\n",
                 agg.corrupt_records(), cinder::kMaxTraceShards);
@@ -138,23 +141,16 @@ int main(int argc, char** argv) {
                 agg.FusedSettles());
   }
 
-  const auto shards = agg.shard_live();
-  size_t active = 0;
-  for (const auto& s : shards) {
-    if (s.seen) {
-      ++active;
-    }
-  }
-  if (active > 0) {
-    std::printf("\nper-shard (EWMA per %u-frame window):\n", window_frames);
-    std::printf("  %6s %6s %9s %12s %12s %14s\n", "shard", "taps", "batches", "tap mJ",
-                "decay mJ", "tap ewma mJ/w");
+  auto shards = agg.shard_live();
+  std::sort(shards.begin(), shards.end(),
+            [](const auto& a, const auto& b) { return a.shard < b.shard; });
+  if (!shards.empty()) {
+    std::printf("\nper work item (EWMA per %u-frame window):\n", window_frames);
+    std::printf("  %6s %6s %6s %9s %12s %12s %14s\n", "shard", "shards", "taps", "batches",
+                "tap mJ", "decay mJ", "tap ewma mJ/w");
     for (const auto& s : shards) {
-      if (!s.seen) {
-        continue;
-      }
-      std::printf("  %6u %6u %9" PRIu64 " %12.3f %12.3f %14.4f\n", s.shard, s.taps, s.batches,
-                  Mj(s.tap_flow), Mj(s.decay_flow), Mj(s.tap_flow_ewma));
+      std::printf("  %6u %6u %6u %9" PRIu64 " %12.3f %12.3f %14.4f\n", s.shard, s.shards,
+                  s.taps, s.batches, Mj(s.tap_flow), Mj(s.decay_flow), Mj(s.tap_flow_ewma));
     }
   }
 

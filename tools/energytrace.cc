@@ -3,14 +3,17 @@
 // Loads a trace written by TraceDomain::WriteFile or a FileStreamSink (the
 // fleet example's optional 4th argument) with TraceReader and prints the
 // stream summary and kind histogram from the reader, then the aggregate the
-// reader folded: engine flow totals, boundary settlement, per-shard
-// tap/decay attribution, worker load balance and per-thread CPU billing;
-// and, from the retained records, per-shard timelines and (when the
-// fine-grained kinds were enabled) per-tap flows.
+// reader folded: engine flow totals, boundary settlement, tap/decay
+// attribution per work item (one row per kShardBatch span: a work unit's
+// shards, a split shard or a cut member), worker load balance and
+// per-thread CPU billing; and, from the retained records, the timeline of
+// the work item covering a shard and (when the fine-grained kinds were
+// enabled) per-tap flows.
 //
 // Usage:
 //   energytrace <trace-file>                 summary + totals + tables
-//   energytrace <trace-file> --timeline N    also print shard N's timeline
+//   energytrace <trace-file> --timeline N    also print the timeline of the
+//                                            work item covering shard N
 //   energytrace <trace-file> --taps          also print per-tap flows
 //   energytrace <trace-file> --follow        tail a streaming trace until it
 //                                            finalizes, then summarize
@@ -178,12 +181,13 @@ int main(int argc, char** argv) {
 
   const auto shards = agg.FlowByShard();
   if (!shards.empty()) {
-    std::printf("\nper-shard flow (%zu shards):\n", shards.size());
-    std::printf("  %6s %6s %8s %7s %9s %12s %12s\n", "shard", "taps", "reserves", "ranges",
-                "batches", "tap mJ", "decay mJ");
+    std::printf("\nflow per work item (%zu rows):\n", shards.size());
+    std::printf("  %6s %6s %6s %8s %7s %9s %12s %12s\n", "shard", "shards", "taps", "reserves",
+                "ranges", "batches", "tap mJ", "decay mJ");
     for (const auto& s : shards) {
-      std::printf("  %6u %6u %8u %7u %9" PRIu64 " %12.3f %12.3f\n", s.shard, s.taps,
-                  s.decay_reserves, s.ranges, s.batches, Mj(s.tap_flow), Mj(s.decay_flow));
+      std::printf("  %6u %6u %6u %8u %7u %9" PRIu64 " %12.3f %12.3f\n", s.shard, s.shards,
+                  s.taps, s.decay_reserves, s.ranges, s.batches, Mj(s.tap_flow),
+                  Mj(s.decay_flow));
     }
   }
 
@@ -211,7 +215,8 @@ int main(int argc, char** argv) {
 
   if (want_timeline) {
     const auto points = reader.ShardTimeline(timeline_shard);
-    std::printf("\nshard %u timeline (%zu batches):\n", timeline_shard, points.size());
+    std::printf("\nshard %u timeline, per covering work item (%zu batches):\n", timeline_shard,
+                points.size());
     std::printf("  %9s %12s %12s %12s %14s %14s\n", "frame", "time ms", "tap mJ", "decay mJ",
                 "cum tap mJ", "cum decay mJ");
     for (const auto& p : points) {

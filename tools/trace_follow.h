@@ -67,10 +67,13 @@ enum class FollowResult {
 
 // Tails `path`, invoking on_record(const TraceRecord&) for each whole
 // record in stream order. In `once` mode returns after one sweep
-// (kFinalized only if the header already matched).
+// (kFinalized only if the header already matched). `partial_tail`, when
+// given, reports whether the last sweep saw the stray bytes of a chopped
+// record behind the whole ones.
 template <typename OnRecord>
 FollowResult FollowTraceFile(const std::string& path, const FollowOptions& opt,
-                             OnRecord&& on_record, std::string* error = nullptr) {
+                             OnRecord&& on_record, std::string* error = nullptr,
+                             bool* partial_tail = nullptr) {
   using Clock = std::chrono::steady_clock;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -92,6 +95,9 @@ FollowResult FollowTraceFile(const std::string& path, const FollowOptions& opt,
       return FollowResult::kError;
     }
     const uint64_t on_disk = extent.records;
+    if (partial_tail != nullptr) {
+      *partial_tail = extent.partial_tail;
+    }
     if (on_disk > delivered) {
       last_growth = Clock::now();
       std::fseek(f, static_cast<long>(sizeof(TraceFileHeader) + delivered * sizeof(TraceRecord)),
